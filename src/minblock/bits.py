@@ -54,12 +54,6 @@ class BitString:
         self._acc = acc & ((1 << total) - 1)
         self._nacc = total
 
-    def extend(self, other: "BitString") -> None:
-        for b in other._buf:
-            self.append_bits(b, 8)
-        if other._nacc:
-            self.append_bits(other._acc, other._nacc)
-
     def to_bytes(self) -> bytes:
         """Packed bytes; a partial final byte is zero padded on the right."""
         if self._nacc:

@@ -29,8 +29,8 @@ class SymbolCode:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "m", int(self.m))
-        if self.m < 2:
-            raise ValueError("alphabet size must be at least 2")
+        if not 2 <= self.m < 1 << 32:
+            raise ValueError("alphabet size must be between 2 and 2**32 - 1")
 
     @property
     def fixed_len(self) -> int:

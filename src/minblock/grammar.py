@@ -1,30 +1,46 @@
-"""Dictionary grammars, their expansion, and the symbol-by-symbol encoding.
+"""Dictionary grammars, their expansion, and their emission as bits.
 
 A dictionary grammar over terminals {1..m} is an ordered list of rules; rule
 ``i`` (1-based) defines symbol ``m + i`` and may only reference strictly
 smaller symbols, so expansion always terminates.  The last rule is the
 primary rule; expanding its symbol produces the grammar's output string.
 
-The grammar is serialized rule by rule with :mod:`minblock.codes`: each rule
-is the codewords of its symbols followed by the separator 0, and the whole
-grammar ends with the terminator -1.
+The grammar is serialized rule by rule with the code of
+:mod:`minblock.codes`: each rule is the codewords of its symbols followed by
+the separator 0, and the whole grammar ends with the terminator -1.  The
+emitter, the parser and the expansion work on flat numpy arrays: all rule
+bodies concatenated, with rule offsets.  ``encode_symbol`` and
+``decode_symbol`` remain the single-codeword definition of the code; the
+array paths produce and accept exactly the same bits, and the parser raises
+the same error class ``decode_symbol`` would at the first bad codeword.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .bits import BitReader, BitString, CorruptionError, ExpansionLimitError
-from .codes import SymbolCode, decode_symbol, encode_symbol, symbol_length
+from .codes import SymbolCode, decode_symbol, symbol_length
 
 Rule = tuple[int, ...]
 
+# bits parsed per step of the codeword-length pass of the decoder
+_CHUNK_BITS = 1 << 16
+
+# expansion lengths are counted up to this cap; nothing longer fits in memory
+_LENGTH_CAP = 1 << 62
+
 
 def symbol_dtype(m: int):
-    """Smallest unsigned dtype able to hold terminals 1..m."""
-    return np.uint8 if m <= 0xFF else np.uint16
+    """Smallest unsigned dtype able to hold terminals 1..m (at most 2**32 - 1)."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if m <= np.iinfo(dtype).max:
+            return dtype
+    raise ValueError(f"alphabet size {m} is above 2**32 - 1")
 
 
 @dataclass(frozen=True)
@@ -37,18 +53,18 @@ class DictionaryGrammar:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError("alphabet size must be at least 1")
-        rules = tuple(tuple(int(e) for e in rule) for rule in self.rules)
+        rules = tuple(tuple(map(int, rule)) for rule in self.rules)
         object.__setattr__(self, "rules", rules)
         if not rules:
             raise ValueError("a grammar needs at least a primary rule")
         for i, rule in enumerate(rules, start=1):
             sym = self.m + i
-            for e in rule:
-                if not 1 <= e < sym:
-                    raise ValueError(
-                        f"rule for symbol {sym} references {e}; "
-                        "elements must be in 1..symbol-1"
-                    )
+            if rule and (min(rule) < 1 or max(rule) >= sym):
+                e = next(e for e in rule if not 1 <= e < sym)
+                raise ValueError(
+                    f"rule for symbol {sym} references {e}; "
+                    "elements must be in 1..symbol-1"
+                )
 
     @property
     def num_rules(self) -> int:
@@ -83,21 +99,20 @@ class BlockGrammar:
         if not (0 <= self.head_len < self.k and 0 <= self.tail_len < self.k):
             raise ValueError("terminal runs must be shorter than the block length")
         for i, rule in enumerate(g.rules[:-1], start=1):
-            if len(rule) != self.k or any(e > g.m for e in rule):
+            if len(rule) != self.k or max(rule) > g.m:
                 raise ValueError(f"secondary rule {i} is not a terminal {self.k}-block")
         prim = g.primary
         if len(prim) < self.head_len + self.tail_len:
             raise ValueError("primary rule shorter than its terminal runs")
+        head = prim[: self.head_len]
+        tail = prim[len(prim) - self.tail_len :]
         mid = prim[self.head_len : len(prim) - self.tail_len]
-        for e in prim[: self.head_len]:
-            if e > g.m:
-                raise ValueError("head run contains a nonterminal")
-        for e in prim[len(prim) - self.tail_len :]:
-            if e > g.m:
-                raise ValueError("tail run contains a nonterminal")
-        for e in mid:
-            if e <= g.m:
-                raise ValueError("terminal inside the reference run")
+        if head and max(head) > g.m:
+            raise ValueError("head run contains a nonterminal")
+        if tail and max(tail) > g.m:
+            raise ValueError("tail run contains a nonterminal")
+        if mid and min(mid) <= g.m:
+            raise ValueError("terminal inside the reference run")
 
     @property
     def m(self) -> int:
@@ -113,11 +128,11 @@ def is_block_shaped(g: DictionaryGrammar) -> bool:
     secondary = g.rules[:-1]
     prim = g.primary
     if not secondary:
-        return all(e <= g.m for e in prim)
+        return not prim or max(prim) <= g.m
     k = len(secondary[0])
-    if k < 1 or any(len(r) != k or any(e > g.m for e in r) for r in secondary):
+    if k < 1 or any(len(r) != k or max(r) > g.m for r in secondary):
         return False
-    if all(e <= g.m for e in prim):
+    if not prim or max(prim) <= g.m:
         # nothing but terminal runs; they must split into head and tail < k
         return len(prim) <= 2 * (k - 1)
     head = 0
@@ -128,66 +143,141 @@ def is_block_shaped(g: DictionaryGrammar) -> bool:
         tail += 1
     if head >= k or tail >= k:
         return False
-    return all(e > g.m for e in prim[head : len(prim) - tail])
+    return min(prim[head : len(prim) - tail]) > g.m
+
+
+def _flatten(rules) -> tuple[np.ndarray, np.ndarray]:
+    """All rule bodies in one int64 array, and the offsets of the rules in it."""
+    offsets = np.zeros(len(rules) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, rules), dtype=np.int64, count=len(rules)),
+              out=offsets[1:])
+    flat = np.fromiter(chain.from_iterable(rules), dtype=np.int64, count=int(offsets[-1]))
+    return flat, offsets
+
+
+def _expansion_length(m: int, r: int, flat: np.ndarray, offsets: np.ndarray) -> int:
+    """Terminal count of the expansion of nonterminal ``r``, capped at 2**62.
+
+    A rule of terminals alone has its own length.  The rules that cite
+    nonterminals (only the primary rule of a block grammar) are summed in
+    rule order, each from the lengths of the distinct rules it cites.
+    """
+    sizes = np.diff(offsets)
+    lengths = sizes.tolist()
+    citing = np.unique(np.repeat(np.arange(sizes.size), sizes)[flat > m])
+    for i in citing[citing < r - m].tolist():
+        body = flat[offsets[i] : offsets[i + 1]]
+        refs = body[body > m] - (m + 1)
+        counts = np.bincount(refs)
+        cited = np.flatnonzero(counts).tolist()
+        total = body.size - refs.size + sum(
+            c * lengths[j] for j, c in zip(cited, counts[cited].tolist())
+        )
+        lengths[i] = min(total, _LENGTH_CAP)
+    return lengths[r - m - 1]
 
 
 def expand(g: DictionaryGrammar, r: int, max_len: int | None = None) -> np.ndarray:
     """Terminal string produced by symbol ``r`` (terminals map to themselves).
 
-    ``max_len`` guards against grammars whose expansion blows up (possible
-    for hand-built or hostile rule tables; block grammars are linear).
+    The expansion length is counted first, from the rule lengths, so that
+    ``max_len`` can refuse grammars whose expansion blows up (possible for
+    hand-built or hostile rule tables; block grammars are linear) with
+    :class:`ExpansionLimitError` before anything is built.  The string is
+    then built one grammar level per pass: every nonterminal of the current
+    sequence is replaced by its rule body with one ``np.repeat`` gather, so
+    a block grammar takes two passes.  Raises ValueError when ``r`` is not
+    a symbol of ``g``.
     """
     if not 1 <= r <= g.primary_symbol:
         raise ValueError(f"symbol {r} out of range 1..{g.primary_symbol}")
-    dtype = symbol_dtype(g.m)
-    if r <= g.m:
+    m = g.m
+    dtype = symbol_dtype(m)
+    if r <= m:
         return np.array([r], dtype=dtype)
+    flat, offsets = _flatten(g.rules)
+    if max_len is not None:
+        length = _expansion_length(m, r, flat, offsets)
+        if length > max_len:
+            raise ExpansionLimitError(
+                f"expansion of symbol {r} has {length} terminals (limit {max_len})"
+            )
+    sizes = np.diff(offsets)
+    seq = np.array([r], dtype=np.int64)
+    while True:
+        nonterminal = seq > m
+        if not nonterminal.any():
+            return seq.astype(dtype)
+        # a terminal is a body of length 1 read from seq itself, placed after flat
+        rule = seq[nonterminal] - (m + 1)
+        lens = np.ones(seq.size, dtype=np.int64)
+        lens[nonterminal] = sizes[rule]
+        starts = np.arange(flat.size, flat.size + seq.size, dtype=np.int64)
+        starts[nonterminal] = offsets[rule]
+        ends = np.cumsum(lens)
+        pos = np.repeat(starts - (ends - lens), lens)
+        pos += np.arange(pos.size, dtype=np.int64)
+        seq = np.concatenate((flat, seq))[pos]
 
-    # symbols actually contributing to the expansion of r
-    reachable: set[int] = set()
-    stack = [r]
-    while stack:
-        s = stack.pop()
-        if s <= g.m or s in reachable:
-            continue
-        reachable.add(s)
-        stack.extend(g.rules[s - g.m - 1])
 
-    # lengths first: every reachable expansion is a substring of G'(r),
-    # so checking the target length bounds them all
-    lengths: dict[int, int] = {}
-    for s in sorted(reachable):
-        lengths[s] = sum(
-            1 if e <= g.m else lengths[e] for e in g.rules[s - g.m - 1]
-        )
-    if max_len is not None and lengths[r] > max_len:
-        raise ExpansionLimitError(
-            f"expansion of symbol {r} has {lengths[r]} terminals (limit {max_len})"
-        )
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """``int.bit_length`` of positive int64 values below 2**53."""
+    return np.frexp(x.astype(np.float64))[1].astype(np.int64)
 
-    expansions: dict[int, np.ndarray] = {}
-    for s in sorted(reachable):
-        parts = [
-            np.array([e], dtype=dtype) if e <= g.m else expansions[e]
-            for e in g.rules[s - g.m - 1]
-        ]
-        expansions[s] = (
-            np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
-        )
-    return expansions[r]
+
+def _pack(values: np.ndarray, widths: np.ndarray) -> BitString:
+    """Concatenate codewords (uint64 ``values`` of 1..64 ``widths`` bits), MSB first.
+
+    Each codeword lands in at most two 64-bit words of the output: the bits
+    that fit in the word where it starts, and a spill into the next word.
+    Codewords never overlap, so each word is the OR of its pieces.
+    """
+    ends = np.cumsum(widths)
+    total = int(ends[-1])
+    starts = ends - widths
+    word = starts >> 6
+    spill = (starts & 63) + widths - 64  # > 0: bits that go to word + 1
+    out = np.zeros(total // 64 + 2, dtype=np.uint64)
+    fits = spill <= 0
+    head = np.empty_like(values)
+    head[fits] = values[fits] << (-spill[fits]).astype(np.uint64)
+    over = ~fits
+    head[over] = values[over] >> spill[over].astype(np.uint64)
+    first = np.flatnonzero(np.r_[True, word[1:] != word[:-1]])
+    out[word[first]] = np.bitwise_or.reduceat(head, first)
+    out[word[over] + 1] |= values[over] << (64 - spill[over]).astype(np.uint64)
+    return BitString.from_bytes(out.astype(">u8").tobytes(), total)
 
 
 def encode_grammar(code: SymbolCode, g: DictionaryGrammar) -> BitString:
-    """Emit the grammar: each rule's symbols then 0, and a final -1."""
+    """Emit the grammar: each rule's symbols then 0, and a final -1.
+
+    The codewords are computed for the whole grammar at once: symbols up to
+    m get ``fixed_len`` bits holding n + 1, a symbol m + j gets ``10``
+    followed by the Elias delta code of j, with its length in closed form.
+    The result equals ``encode_symbol`` applied symbol by symbol, bit for
+    bit.  Raises ValueError when ``code`` and ``g`` disagree on m.
+    """
     if code.m != g.m:
         raise ValueError("code and grammar disagree on the alphabet size")
-    out = BitString()
-    for rule in g.rules:
-        for e in rule:
-            encode_symbol(code, e, out)
-        encode_symbol(code, 0, out)
-    encode_symbol(code, -1, out)
-    return out
+    m = code.m
+    flat, offsets = _flatten(g.rules)
+    syms = np.append(np.insert(flat, offsets[1:], 0), -1)
+    values = (syms + 1).astype(np.uint64)
+    widths = np.full(syms.size, code.fixed_len, dtype=np.int64)
+    (delta,) = np.nonzero(syms > m)
+    # m + j is 10, ell zeros, the ell + 1 bits of nbits, the nbits - 1 low bits of j
+    j = syms[delta] - m
+    nbits = _bit_length(j)
+    width = nbits + 2 * (_bit_length(nbits) - 1) + 2
+    low = (nbits - 1).astype(np.uint64)
+    values[delta] = (
+        (np.uint64(2) << (width - 2).astype(np.uint64))
+        | (nbits.astype(np.uint64) << low)
+        | (j.astype(np.uint64) ^ (np.uint64(1) << low))
+    )
+    widths[delta] = width
+    return _pack(values, widths)
 
 
 def grammar_code_length(code: SymbolCode, g: DictionaryGrammar) -> int:
@@ -203,29 +293,165 @@ def grammar_code_length(code: SymbolCode, g: DictionaryGrammar) -> int:
     return total
 
 
-def decode_grammar(code: SymbolCode, bits: BitString | BitReader) -> DictionaryGrammar:
-    """Inverse of :func:`encode_grammar`; validates structure while reading."""
-    reader = bits if isinstance(bits, BitReader) else BitReader(bits)
-    rules: list[Rule] = []
-    current: list[int] = []
-    while True:
-        n = decode_symbol(code, reader)
-        if n == 0:
-            rules.append(tuple(current))
-            current = []
-        elif n == -1:
-            if current:
-                raise CorruptionError("grammar terminator inside a rule")
-            if not rules:
-                raise CorruptionError("grammar has no rules")
+def _delta_lengths() -> np.ndarray:
+    """Length of the ``10`` codeword opening a 16-bit window, by window value.
+
+    ``10``, ell zeros, then the ell + 1 bits of nbits: this prefix fits in 13
+    bits for every nbits <= 63 (ell <= 5).  Windows that open with ``0`` or
+    ``11``, or with ``10`` and six or more zeros (so nbits > 63), are 0.
+    """
+    table = np.zeros(1 << 16, dtype=np.uint8)
+    for nbits in range(1, 64):
+        prefix_len = 2 * nbits.bit_length() + 1
+        prefix = (0b10 << (prefix_len - 2)) | nbits
+        lo = prefix << (16 - prefix_len)
+        table[lo : lo + (1 << (16 - prefix_len))] = prefix_len + nbits - 1
+    return table
+
+
+_DELTA_LENGTHS = _delta_lengths()
+
+
+def _codeword_lengths(buf: np.ndarray, nbits: int, fixed_len: int) -> bytearray:
+    """Length of the codeword that would start at each bit, 0 where none can.
+
+    ``buf`` is the payload with at least two zero bytes of padding.  Works
+    through ``_CHUNK_BITS`` bits at a time to keep the 16-bit windows small;
+    the result has one byte per bit, rounded up to whole payload bytes.
+    """
+    table = _DELTA_LENGTHS.copy()
+    table[: 1 << 15] = fixed_len
+    shifts = np.arange(8, dtype=np.uint32)
+    nbytes = (nbits + 7) // 8
+    lengths = bytearray(8 * nbytes)
+    view = np.frombuffer(lengths, dtype=np.uint8)
+    for a in range(0, nbytes, _CHUNK_BITS // 8):
+        b = min(a + _CHUNK_BITS // 8, nbytes)
+        b24 = (
+            (buf[a:b].astype(np.uint32) << 16)
+            | (buf[a + 1 : b + 1].astype(np.uint32) << 8)
+            | buf[a + 2 : b + 2]
+        )
+        view[8 * a : 8 * b] = table[((b24[:, None] << shifts) >> 8) & 0xFFFF].ravel()
+    return lengths
+
+
+def _walk(lengths: bytearray, nbits: int) -> tuple[np.ndarray, int]:
+    """Codeword starts from bit 0 on, one integer step per codeword.
+
+    Returns the starts below ``nbits`` and the position after the last one;
+    that position is above ``nbits`` when the last codeword runs past the
+    end or cannot start a codeword at all (length 0).
+    """
+    starts = array("q")
+    append = starts.append
+    pos = 0
+    while pos < nbits:
+        append(pos)
+        step = lengths[pos]
+        if not step:
+            pos = nbits + 1
             break
-        else:
-            # the rule being read defines symbol m + len(rules) + 1
-            if n >= code.m + len(rules) + 1:
-                raise CorruptionError(
-                    f"rule element {n} references its own or a later symbol"
-                )
-            current.append(n)
-    if reader.remaining:
+        pos += step
+    return np.frombuffer(starts, dtype=np.int64), pos
+
+
+def _windows(buf: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The 64 bits from each bit position ``pos`` on, MSB first, as uint64.
+
+    ``buf`` must hold nine bytes from every ``pos >> 3`` on.
+    """
+    q = pos >> 3
+    shift = (pos & 7).astype(np.uint64)
+    words = np.lib.stride_tricks.sliding_window_view(buf, 8).view(">u8")[:, 0]
+    return (words[q].astype(np.uint64) << shift) | (buf[q + 8] >> (8 - shift))
+
+
+def _top(windows: np.ndarray, width) -> np.ndarray:
+    """The first ``width`` (0..63) bits of each window, as int64."""
+    shift = (63 - np.asarray(width)).astype(np.uint64)
+    return ((windows >> np.uint64(1)) >> shift).astype(np.int64)
+
+
+def _raise_codeword_error(code: SymbolCode, data: bytes, nbits: int, pos: int) -> None:
+    """Raise the error ``decode_symbol`` raises on the codeword at bit ``pos``."""
+    reader = BitReader(data[pos >> 3 :], nbits - (pos & ~7))
+    reader.read_bits(pos & 7)
+    decode_symbol(code, reader)
+    raise AssertionError(f"no codeword error at bit {pos}")
+
+
+def decode_grammar(code: SymbolCode, bits: BitString | BitReader) -> DictionaryGrammar:
+    """Inverse of :func:`encode_grammar`; validates structure while reading.
+
+    The payload is parsed in three array passes.  First the length of the
+    codeword that would start at each bit position is looked up from the 16
+    bits there (fixed width after ``0``, the Elias delta length after
+    ``10``).  Then the chain of codeword starts is walked from bit 0 with one
+    integer step per codeword.  Last, the symbols at the starts are gathered
+    at once, the rules are split at the 0 separators, and the reference
+    check (every element below the symbol its rule defines) is one array
+    comparison.
+
+    The errors are those of reading the payload codeword by codeword with
+    ``decode_symbol``, in reading order: :class:`TruncationError` when the
+    bits end inside a codeword or before the terminator, and
+    :class:`CorruptionError` for an unassigned codeword (``11``, a fixed
+    value above m + 1, a delta code with nbits > 63), a reference to the
+    rule's own or a later symbol, a terminator inside a rule, a grammar
+    with no rules, or bits after the terminator.  A ``BitReader`` is read
+    to its end.
+    """
+    if isinstance(bits, BitReader):
+        nbits = bits.remaining
+        nbytes = (nbits + 7) // 8
+        data = (bits.read_bits(nbits) << (8 * nbytes - nbits)).to_bytes(nbytes, "big")
+    else:
+        nbits = len(bits)
+        data = bits.to_bytes()
+    m = code.m
+    fl = code.fixed_len
+    buf = np.frombuffer(data + bytes(9), dtype=np.uint8)
+    starts, end = _walk(_codeword_lengths(buf, nbits, fl), nbits)
+    if end != nbits:
+        bad_at = int(starts[-1])  # this codeword is cut off or unassigned
+        starts = starts[:-1]
+    else:
+        bad_at = nbits  # reading one more codeword runs out of bits
+
+    # the walk ends a chain at a terminator only by chance: find the first
+    # terminator (value 0) or unassigned fixed value (above m + 1)
+    value = _top(_windows(buf, starts), fl)  # n + 1 for fixed codewords
+    fixed = value < 1 << (fl - 1)
+    halts = np.flatnonzero(fixed & ((value == 0) | (value > m + 1)))
+    stop = int(halts[0]) if halts.size else starts.size
+    sep = fixed[:stop] & (value[:stop] == 1)
+    delta = starts[:stop][~fixed[:stop]]
+    head = _windows(buf, delta) << np.uint64(2)  # after 10: ell zeros, nbits, low bits
+    ell = 6 - _bit_length(_top(head, 6))
+    low = _top(head << ell.astype(np.uint64), ell + 1) - 1  # nbits - 1
+    j = (1 << low) | _top(_windows(buf, delta + 3 + 2 * ell), low)
+    # an element of the rule after s separators must be below m + s + 1
+    before = (np.cumsum(sep) - sep)[~fixed[:stop]]
+    forward = np.flatnonzero(j > before)
+    if forward.size:
+        raise CorruptionError(
+            f"rule element {m + int(j[forward[0]])} references its own or a later symbol"
+        )
+    if stop == starts.size:
+        _raise_codeword_error(code, data, nbits, bad_at)
+    if value[stop]:
+        _raise_codeword_error(code, data, nbits, int(starts[stop]))
+    if stop and not sep[-1]:
+        raise CorruptionError("grammar terminator inside a rule")
+    if not stop:
+        raise CorruptionError("grammar has no rules")
+    if int(starts[stop]) + fl != nbits:
         raise CorruptionError("trailing bits after the grammar terminator")
-    return DictionaryGrammar(code.m, tuple(rules))
+
+    symbols = value[:stop] - 1
+    symbols[~fixed[:stop]] = m + j
+    flat = symbols.tolist()
+    ends = np.flatnonzero(sep).tolist()
+    rules = tuple(tuple(flat[a:b]) for a, b in zip([0] + [e + 1 for e in ends], ends))
+    return DictionaryGrammar(m, rules)

@@ -171,9 +171,8 @@ def _rank_length_table(jmax: int) -> np.ndarray:
 
 def _block_bytes(arr: np.ndarray) -> tuple[bytes, int]:
     """Byte buffer whose lexicographic order matches the symbol order."""
-    if arr.dtype == np.uint8:
-        return arr.tobytes(), 1
-    return arr.astype(">u2").tobytes(), 2
+    w = arr.dtype.itemsize
+    return arr.astype(f">u{w}").tobytes(), w
 
 
 def _longest_repeat(buf: bytes, w: int, n: int) -> int:
@@ -293,13 +292,7 @@ def _sweep_large(arr: np.ndarray, code: SymbolCode, best: int, kmax: int | None)
                    out=inv_powers[1:])
     prefix = np.cumsum(arr64 * powers, dtype=np.uint64)
 
-    # pack a whole block into one uint64 when it fits exactly
-    pack_cap = 0
-    radix = m + 1
-    acc = 1
-    while acc * radix <= 1 << 64:
-        acc *= radix
-        pack_cap += 1
+    pack_cap = _pack_capacity(m)
 
     dup_bound = n  # valid upper bound on the duplicate count for every k
     best_kl = None
@@ -359,9 +352,23 @@ def _sweep_large(arr: np.ndarray, code: SymbolCode, best: int, kmax: int | None)
     return best, best_kl
 
 
-def _parse_counts(arr: np.ndarray, bytes_view: np.ndarray, w: int, m: int,
-                  pack_cap: int, k: int, l: int, p: int) -> np.ndarray:
-    """Occurrence counts of the distinct blocks of one parse (any order)."""
+def _pack_capacity(m: int) -> int:
+    """Largest block length whose blocks pack exactly into one uint64."""
+    cap = 0
+    acc = m + 1
+    while acc <= 1 << 64:
+        acc *= m + 1
+        cap += 1
+    return cap
+
+
+def _block_ids(arr: np.ndarray, bytes_view: np.ndarray, w: int, m: int,
+               pack_cap: int, k: int, l: int, p: int) -> np.ndarray:
+    """One key per block of the parse; keys sort as the blocks do.
+
+    A block of at most ``pack_cap`` symbols is its base-(m+1) number; a
+    longer one is its big-endian bytes viewed as one void item.
+    """
     if k <= pack_cap:
         sub = arr[l : l + p * k].reshape(p, k).astype(np.uint64)
         ids = np.zeros(p, dtype=np.uint64)
@@ -369,41 +376,41 @@ def _parse_counts(arr: np.ndarray, bytes_view: np.ndarray, w: int, m: int,
         for col in range(k):
             ids *= radix
             ids += sub[:, col]
-        return np.unique(ids, return_counts=True)[1]
+        return ids
     rows = bytes_view[w * l : w * (l + p * k)].reshape(p, w * k)
-    return np.unique(rows.view(f"V{w * k}").ravel(), return_counts=True)[1]
+    return rows.view(f"V{w * k}").ravel()
+
+
+def _parse_counts(arr: np.ndarray, bytes_view: np.ndarray, w: int, m: int,
+                  pack_cap: int, k: int, l: int, p: int) -> np.ndarray:
+    """Occurrence counts of the distinct blocks of one parse (any order)."""
+    ids = _block_ids(arr, bytes_view, w, m, pack_cap, k, l, p)
+    return np.unique(ids, return_counts=True)[1]
 
 
 def _build_block_grammar(arr: np.ndarray, code: SymbolCode, k: int, l: int):
-    """Materialize the ranked grammar for the winning (k, l) parse."""
+    """Materialize the ranked grammar for the winning (k, l) parse.
+
+    Blocks are ranked by descending count, ties by ascending block, as in
+    :class:`RankedBlockTable`: ``np.unique`` lists them in ascending order
+    and a stable sort on the count keeps that order within a tie.
+    """
     n = arr.size
+    m = code.m
     p = (n - l) // k
     tail = (n - l) - p * k
     buf, w = _block_bytes(arr)
-    step = w * k
-    base = w * l
-    counts: Counter[bytes] = Counter()
-    occ: list[bytes] = []
-    for off in range(base, base + p * step, step):
-        b = buf[off : off + step]
-        counts[b] += 1
-        occ.append(b)
-    ranked = sorted(counts.items(), key=lambda bc: (-bc[1], bc[0]))
-    rank_of = {b: i + 1 for i, (b, _) in enumerate(ranked)}
-
-    def unpack(b: bytes) -> tuple[int, ...]:
-        if w == 1:
-            return tuple(b)
-        return tuple(int.from_bytes(b[i : i + 2], "big") for i in range(0, len(b), 2))
-
-    m = code.m
-    rules = [unpack(b) for b, _ in ranked]
-    primary = (
-        tuple(int(x) for x in arr[:l])
-        + tuple(m + rank_of[b] for b in occ)
-        + tuple(int(x) for x in arr[l + p * k :])
+    ids = _block_ids(arr, np.frombuffer(buf, dtype=np.uint8), w, m, _pack_capacity(m),
+                     k, l, p)
+    _, first, inverse, counts = np.unique(
+        ids, return_index=True, return_inverse=True, return_counts=True
     )
-    g = DictionaryGrammar(m, tuple(rules) + (primary,))
+    order = np.argsort(-counts, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(1, order.size + 1)
+    blocks = arr[l : l + p * k].reshape(p, k)[first[order]]
+    primary = arr[:l].tolist() + (m + rank[inverse]).tolist() + arr[l + p * k :].tolist()
+    g = DictionaryGrammar(m, tuple(map(tuple, blocks.tolist())) + (tuple(primary),))
     return BlockGrammar(base=g, k=k, head_len=l, tail_len=tail)
 
 

@@ -92,9 +92,7 @@ def build_corpus_text(target_bytes: int, seed: int = 20260810) -> bytes:
             out.append("\n")
             if rng.random() < 0.15:
                 out.append(f"[{sample_words(1)[0].capitalize()} exits]\n\n")
-        chunk = "".join(out[-40:])
         size = sum(len(s) for s in out)
-        del chunk
     text = "".join(out).encode("ascii")
     return text[:target_bytes]
 

@@ -2,16 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from minblock import (
     BitReader,
     BitString,
     BlockGrammar,
+    CodecError,
     CorruptionError,
     DictionaryGrammar,
     ExpansionLimitError,
     SymbolCode,
+    TruncationError,
     decode_grammar,
+    decode_symbol,
     encode_grammar,
     encode_symbol,
     expand,
@@ -20,14 +25,69 @@ from minblock import (
 )
 
 
-def random_grammar(rng, m=None) -> DictionaryGrammar:
+def random_grammar(rng, m=None, num_rules=None, cite=None) -> DictionaryGrammar:
+    """Random rule table; with ``cite``, each element is a rule with that chance."""
     m = m or int(rng.integers(2, 6))
-    num_rules = int(rng.integers(1, 6))
+    num_rules = num_rules or int(rng.integers(1, 6))
     rules = []
     for i in range(1, num_rules + 1):
         width = int(rng.integers(0, 5)) if i == num_rules else int(rng.integers(1, 5))
-        rules.append(tuple(int(rng.integers(1, m + i)) for _ in range(width)))
+        if cite is None:
+            rules.append(tuple(int(rng.integers(1, m + i)) for _ in range(width)))
+        else:
+            rules.append(tuple(
+                int(rng.integers(m + 1, m + i)) if i > 1 and rng.random() < cite
+                else int(rng.integers(1, m + 1))
+                for _ in range(width)
+            ))
     return DictionaryGrammar(m, tuple(rules))
+
+
+def encode_by_codeword(code, g) -> BitString:
+    """Reference emitter: ``encode_symbol`` once per symbol."""
+    out = BitString()
+    for rule in g.rules:
+        for e in rule:
+            encode_symbol(code, e, out)
+        encode_symbol(code, 0, out)
+    encode_symbol(code, -1, out)
+    return out
+
+
+def decode_by_codeword(code, bits) -> DictionaryGrammar:
+    """Reference parser: ``decode_symbol`` once per codeword, checks in reading order."""
+    reader = BitReader(bits)
+    rules = []
+    current = []
+    while True:
+        n = decode_symbol(code, reader)
+        if n == 0:
+            rules.append(tuple(current))
+            current = []
+        elif n == -1:
+            if current:
+                raise CorruptionError("grammar terminator inside a rule")
+            if not rules:
+                raise CorruptionError("grammar has no rules")
+            break
+        else:
+            if n >= code.m + len(rules) + 1:
+                raise CorruptionError(f"rule element {n} references its own or a later symbol")
+            current.append(n)
+    if reader.remaining:
+        raise CorruptionError("trailing bits after the grammar terminator")
+    return DictionaryGrammar(code.m, tuple(rules))
+
+
+def outcome(decoder, code, bits):
+    """The grammar a decoder returns, or the class of the CodecError it raises."""
+    try:
+        return decoder(code, bits)
+    except CodecError as exc:
+        return type(exc)
+
+
+ALPHABETS = (2, 3, 66, 255, 256, 65535)
 
 
 def test_expand_terminal():
@@ -211,3 +271,138 @@ def test_is_block_shaped():
     assert is_block_shaped(DictionaryGrammar(2, ((1, 2), (1, 2))))
     assert not is_block_shaped(DictionaryGrammar(2, ((1, 2), (1, 2, 2))))
     assert not is_block_shaped(DictionaryGrammar(2, ((1,), (1, 2, 2))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.sampled_from(ALPHABETS),
+    num_rules=st.sampled_from([1, 2, 3, 4, 5, 8, 9, 16, 17, 40, 70]),
+)
+def test_array_codec_matches_codeword_loop(seed, m, num_rules):
+    # rule IDs j = 1..69 cross the Elias-delta length classes up to 2^6
+    rng = np.random.Generator(np.random.Philox(seed))
+    g = random_grammar(rng, m, num_rules, cite=0.5)
+    code = SymbolCode(m)
+    bits = encode_grammar(code, g)
+    assert bits == encode_by_codeword(code, g)
+    assert len(bits) == grammar_code_length(code, g)
+    assert decode_grammar(code, bits) == g
+
+
+def test_array_codec_rule_ids_past_2_20():
+    # 2^20 + 2 empty rules, so the primary may cite j up to 2^20 + 2
+    m = 3
+    ids = sorted({j for t in range(1, 21) for j in (2**t - 1, 2**t, 2**t + 1)}) + [2**20 + 2]
+    rules = ((),) * (2**20 + 2) + (tuple(m + j for j in ids) + (1, 2, 3),)
+    g = DictionaryGrammar(m, rules)
+    code = SymbolCode(m)
+    bits = encode_grammar(code, g)
+    assert bits == encode_by_codeword(code, g)
+    assert decode_grammar(code, bits) == g
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.sampled_from(ALPHABETS),
+    kind=st.sampled_from(
+        ["prefix", "11", "unassigned", "ell>63", "nbits>63", "forward", "terminator",
+         "empty", "trailing"]
+    ),
+    where=st.floats(0, 1),
+    replace=st.booleans(),
+)
+def test_array_decoder_raises_as_codeword_loop(seed, m, kind, where, replace):
+    rng = np.random.Generator(np.random.Philox(seed))
+    code = SymbolCode(m)
+    g = random_grammar(rng, m, int(rng.integers(1, 20)), cite=0.5)
+    # the payload, cut at codeword boundaries; the insert may replace a codeword
+    words = [encode_symbol(code, e).to01() for rule in g.rules for e in rule + (0,)]
+    words.append(encode_symbol(code, -1).to01())
+    cut = min(int(where * len(words)), len(words) - 1)
+    fl = code.fixed_len
+    if kind == "prefix":
+        payload = "".join(words)
+        bits = payload[: int(where * (len(payload) - 1))]
+    elif kind == "empty":
+        bits = words[-1]
+    else:
+        if kind == "11":
+            insert = "11" + "0" * int(rng.integers(0, 8))
+        elif kind == "unassigned":
+            assume(m + 2 < 2 ** (fl - 1))
+            insert = format(int(rng.integers(m + 2, 2 ** (fl - 1))), f"0{fl}b")
+        elif kind == "ell>63":
+            insert = "10" + "0" * 64
+        elif kind == "nbits>63":
+            insert = "10" + "0" * 6 + "1" + format(int(rng.integers(0, 64)), "06b")
+        elif kind == "forward":
+            insert = encode_symbol(code, m + int(rng.integers(1, 1 << 30))).to01()
+        elif kind == "terminator":
+            insert = encode_symbol(code, -1).to01()
+        else:
+            insert = ""
+            words.append("".join(rng.choice(["0", "1"], int(rng.integers(1, 80)))))
+        bits = "".join(words[:cut]) + insert + "".join(words[cut + replace :])
+    payload = BitString.from01(bits)
+    want = outcome(decode_by_codeword, code, payload)
+    assert outcome(decode_grammar, code, payload) == want
+    if kind == "prefix":
+        assert want is TruncationError
+
+
+@pytest.mark.parametrize(
+    "keep, insert, error",
+    [
+        (8, "11", CorruptionError),
+        (8, "0111", CorruptionError),  # m = 3 leaves fixed values 5..7 unassigned
+        (-4, "0111", CorruptionError),  # in place of the terminator
+        (8, "10" + "0" * 64, CorruptionError),  # ell > 63
+        (8, "10" + "0" * 63, TruncationError),  # the zeros run out first
+        (8, "10" + "000000" + "1000000", CorruptionError),  # nbits = 64 > 63
+        (8, "10" + "000000" + "100", TruncationError),  # nbits cut off
+    ],
+)
+def test_decode_rejects_unassigned_codewords(keep, insert, error):
+    code = SymbolCode(3)
+    g = DictionaryGrammar(3, ((1, 2), (4, 3)))
+    full = encode_grammar(code, g).to01()
+    # the first 8 bits are the codewords of 1 and 2, the last 4 the terminator
+    bits = BitString.from01(full[:keep] + insert)
+    assert outcome(decode_by_codeword, code, bits) is error
+    with pytest.raises(error):
+        decode_grammar(code, bits)
+
+
+def test_decode_reads_a_bit_reader_to_its_end():
+    code = SymbolCode(2)
+    g = DictionaryGrammar(2, ((1, 2), (3, 3)))
+    bits = BitString.from01("1" + encode_grammar(code, g).to01())
+    reader = BitReader(bits)
+    reader.read_bit()
+    assert decode_grammar(code, reader) == g
+    assert reader.remaining == 0
+
+
+def test_expand_limit_counts_the_final_length():
+    # 1000 citations of an empty rule expand to nothing
+    g = DictionaryGrammar(2, ((), (3,) * 1000, (4, 1)))
+    assert expand(g, g.primary_symbol, max_len=1).tolist() == [1]
+    with pytest.raises(ExpansionLimitError):
+        expand(g, g.primary_symbol, max_len=0)
+
+
+def test_expand_matches_the_rule_by_rule_expansion():
+    def by_rule(g, r):
+        if r <= g.m:
+            return [r]
+        return [t for e in g.rules[r - g.m - 1] for t in by_rule(g, e)]
+
+    rng = np.random.Generator(np.random.Philox(12))
+    for _ in range(300):
+        g = random_grammar(rng, int(rng.choice(ALPHABETS)), int(rng.integers(1, 12)), cite=0.5)
+        for r in (1, g.primary_symbol, int(rng.integers(1, g.primary_symbol + 1))):
+            want = by_rule(g, r)
+            assert expand(g, r).tolist() == want
+            assert expand(g, r, max_len=len(want)).tolist() == want

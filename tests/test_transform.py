@@ -10,13 +10,21 @@ from minblock import (
     RankedBlockTable,
     SymbolCode,
     block_cost,
+    compress,
     decode,
     encode,
     encode_grammar,
     grammar_code_length,
     minimal_block_transform,
 )
-from minblock.transform import _as_symbols, _sweep_large, _sweep_small
+from minblock.grammar import symbol_dtype
+from minblock.transform import (
+    _as_symbols,
+    _build_block_grammar,
+    _pack_capacity,
+    _sweep_large,
+    _sweep_small,
+)
 
 from reference import reference_min_bits
 
@@ -214,3 +222,45 @@ def test_shift_and_runs_are_consistent():
     p = (n - r.shift) // r.block_len
     assert g.tail_len == (n - r.shift) - p * r.block_len
     assert np.array_equal(decode(code, encode(code, u)), np.array(u))
+
+
+@pytest.mark.parametrize(
+    "m, ks, packed",
+    [
+        (2, (1, 2, 3, 7), True),  # blocks packed into one uint64
+        (2, (41, 44), False),  # k above the pack capacity of 40: void view
+        (300, (1, 2, 7), True),  # uint16 symbols
+        (300, (8, 9), False),
+    ],
+)
+def test_block_build_ranks_as_the_table(m, ks, packed):
+    rng = np.random.Generator(np.random.Philox(27))
+    code = SymbolCode(m)
+    for k in ks:
+        assert (k <= _pack_capacity(m)) == packed
+        for _ in range(4):
+            # few distinct symbols give repeated blocks and many equal counts
+            piece = rng.integers(1, min(m, int(rng.choice([2, 3, m]))) + 1, 6 * k)
+            u = np.concatenate([piece, rng.permutation(piece), piece[: 3 * k + 1]])
+            arr = _as_symbols(u, m)
+            for l in range(k):
+                g = _build_block_grammar(arr, code, k, l)
+                table = RankedBlockTable.from_parse(u.tolist(), k, l)
+                assert g.base.rules[:-1] == tuple(block for block, _ in table.entries)
+                rank = {block: i for i, (block, _) in enumerate(table.entries, start=m + 1)}
+                p = (len(u) - l) // k
+                refs = [rank[tuple(u[l + i * k : l + (i + 1) * k].tolist())] for i in range(p)]
+                assert g.base.primary == tuple(u[:l].tolist() + refs + u[l + p * k :].tolist())
+                assert (g.head_len, g.tail_len) == (l, len(u) - l - p * k)
+
+
+def test_alphabet_above_uint16_round_trips():
+    # symbols above 65535 were once stored as uint16 and decoded wrong silently
+    code = SymbolCode(70000)
+    u = [1, 65537, 1, 65537, 2, 3]
+    assert symbol_dtype(70000) == np.uint32
+    assert decode(code, encode(code, u)).tolist() == u
+    with pytest.raises(ValueError):
+        compress(u, 70000)  # the frame header holds m in 16 bits
+    with pytest.raises(ValueError):
+        SymbolCode(2**32)
