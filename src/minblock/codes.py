@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bits import BitReader, BitString, CorruptionError
 
 
@@ -67,6 +69,17 @@ def rank_length(j: int) -> int:
         raise ValueError("offset must be >= 1")
     t = j.bit_length() - 1
     return t + 2 * ((t + 1).bit_length() - 1) + 3
+
+
+def bit_lengths(x) -> np.ndarray:
+    """``int.bit_length`` of each nonnegative integer below 2**53, as int64."""
+    return np.frexp(np.asarray(x, dtype=np.float64))[1].astype(np.int64)
+
+
+def rank_lengths(j) -> np.ndarray:
+    """:func:`rank_length` of each offset in ``j`` (all in 1..2**53), as int64."""
+    t = bit_lengths(j) - 1
+    return t + 2 * (bit_lengths(t + 1) - 1) + 3
 
 
 def encode_symbol(code: SymbolCode, n: int, out: BitString | None = None) -> BitString:

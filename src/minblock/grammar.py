@@ -24,7 +24,7 @@ from itertools import chain
 import numpy as np
 
 from .bits import BitReader, BitString, CorruptionError, ExpansionLimitError
-from .codes import SymbolCode, decode_symbol, symbol_length
+from .codes import SymbolCode, bit_lengths, decode_symbol, rank_lengths, symbol_length
 
 Rule = tuple[int, ...]
 
@@ -155,39 +155,61 @@ def _flatten(rules) -> tuple[np.ndarray, np.ndarray]:
     return flat, offsets
 
 
-def _expansion_length(m: int, r: int, flat: np.ndarray, offsets: np.ndarray) -> int:
-    """Terminal count of the expansion of nonterminal ``r``, capped at 2**62.
+def _rule_lengths(m: int, flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Terminal count of the expansion of every rule, each capped at 2**62.
 
     A rule of terminals alone has its own length.  The rules that cite
     nonterminals (only the primary rule of a block grammar) are summed in
-    rule order, each from the lengths of the distinct rules it cites.
+    rule order.
     """
-    sizes = np.diff(offsets)
-    lengths = sizes.tolist()
-    citing = np.unique(np.repeat(np.arange(sizes.size), sizes)[flat > m])
-    for i in citing[citing < r - m].tolist():
+    lengths = np.diff(offsets)
+    cites = np.diff(np.r_[0, np.cumsum(flat > m)][offsets])
+    for i in np.flatnonzero(cites).tolist():
         body = flat[offsets[i] : offsets[i + 1]]
-        refs = body[body > m] - (m + 1)
-        counts = np.bincount(refs)
-        cited = np.flatnonzero(counts).tolist()
-        total = body.size - refs.size + sum(
-            c * lengths[j] for j, c in zip(cited, counts[cited].tolist())
-        )
-        lengths[i] = min(total, _LENGTH_CAP)
-    return lengths[r - m - 1]
+        part = lengths[body[body > m] - (m + 1)]
+        # the int64 sum is exact unless the float sum says it may have wrapped
+        if part.sum(dtype=np.float64) < _LENGTH_CAP:
+            lengths[i] = min(body.size - part.size + int(part.sum()), _LENGTH_CAP)
+        else:
+            lengths[i] = _LENGTH_CAP
+    return lengths
+
+
+def _resolve_unary(m: int, flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The symbol each rule stands for once chains of one-element rules are followed.
+
+    A rule of one element stands for that element; any other rule for its
+    own symbol.  The chains are followed by pointer doubling, so a chain of
+    d rules takes about log2(d) array passes.
+    """
+    alias = np.arange(m + 1, m + offsets.size, dtype=np.int64)
+    unary = np.diff(offsets) == 1
+    alias[unary] = flat[offsets[:-1][unary]]
+    while True:
+        cited = alias > m
+        step = alias.copy()
+        step[cited] = alias[alias[cited] - (m + 1)]
+        if np.array_equal(step, alias):
+            return alias
+        alias = step
 
 
 def expand(g: DictionaryGrammar, r: int, max_len: int | None = None) -> np.ndarray:
     """Terminal string produced by symbol ``r`` (terminals map to themselves).
 
-    The expansion length is counted first, from the rule lengths, so that
-    ``max_len`` can refuse grammars whose expansion blows up (possible for
+    The length of every rule's expansion is counted first, so that
+    ``max_len`` refuses grammars whose expansion blows up (possible for
     hand-built or hostile rule tables; block grammars are linear) with
-    :class:`ExpansionLimitError` before anything is built.  The string is
-    then built one grammar level per pass: every nonterminal of the current
-    sequence is replaced by its rule body with one ``np.repeat`` gather, so
-    a block grammar takes two passes.  Raises ValueError when ``r`` is not
-    a symbol of ``g``.
+    :class:`ExpansionLimitError` before anything is built.  Then citations
+    of rules that expand to nothing are dropped and chains of one-element
+    rules are cut short, so that every rule still cited has at least two
+    elements, each with a nonempty expansion.  The expansion tree is then
+    walked one level per pass: each pass writes the symbols of the rules
+    cited at that level to the output, where each one's expansion starts,
+    and passes on the rules among them.  No pass holds more elements than
+    the output has terminals, and all passes together fewer than twice as
+    many; a block grammar takes two passes.  Raises ValueError when ``r``
+    is not a symbol of ``g``.
     """
     if not 1 <= r <= g.primary_symbol:
         raise ValueError(f"symbol {r} out of range 1..{g.primary_symbol}")
@@ -195,34 +217,58 @@ def expand(g: DictionaryGrammar, r: int, max_len: int | None = None) -> np.ndarr
     dtype = symbol_dtype(m)
     if r <= m:
         return np.array([r], dtype=dtype)
-    flat, offsets = _flatten(g.rules)
-    if max_len is not None:
-        length = _expansion_length(m, r, flat, offsets)
-        if length > max_len:
-            raise ExpansionLimitError(
-                f"expansion of symbol {r} has {length} terminals (limit {max_len})"
-            )
+    flat, offsets = _flatten(g.rules[: r - m])
+    lengths = _rule_lengths(m, flat, offsets)
+    total = int(lengths[-1])
+    if max_len is not None and total > max_len:
+        raise ExpansionLimitError(
+            f"expansion of symbol {r} has {total} terminals (limit {max_len})"
+        )
+    out = np.empty(total, dtype=dtype)
+    if not total:
+        return out
+
+    cited = flat > m
+    size = np.ones(flat.size, dtype=np.int64)
+    size[cited] = lengths[flat[cited] - (m + 1)]
+    keep = size > 0
+    if not keep.all():
+        offsets = np.r_[0, np.cumsum(keep)][offsets]
+        flat, size = flat[keep], size[keep]
+    alias = _resolve_unary(m, flat, offsets)
+    cited = flat > m
+    flat[cited] = alias[flat[cited] - (m + 1)]
+    # where each element's expansion starts within the rules laid end to end;
+    # the int64 sums wrap only past rules longer than the output, which no
+    # rule reachable from r is, so the differences taken below are exact
+    before = np.cumsum(size)
+    before -= size
+    del cited, keep, size, lengths
+
+    root = int(alias[r - m - 1])
+    if root <= m:
+        out[0] = root
+        return out
     sizes = np.diff(offsets)
-    seq = np.array([r], dtype=np.int64)
-    while True:
-        nonterminal = seq > m
-        if not nonterminal.any():
-            return seq.astype(dtype)
-        # a terminal is a body of length 1 read from seq itself, placed after flat
-        rule = seq[nonterminal] - (m + 1)
-        lens = np.ones(seq.size, dtype=np.int64)
-        lens[nonterminal] = sizes[rule]
-        starts = np.arange(flat.size, flat.size + seq.size, dtype=np.int64)
-        starts[nonterminal] = offsets[rule]
-        ends = np.cumsum(lens)
-        pos = np.repeat(starts - (ends - lens), lens)
-        pos += np.arange(pos.size, dtype=np.int64)
-        seq = np.concatenate((flat, seq))[pos]
-
-
-def _bit_length(x: np.ndarray) -> np.ndarray:
-    """``int.bit_length`` of positive int64 values below 2**53."""
-    return np.frexp(x.astype(np.float64))[1].astype(np.int64)
+    rule = np.array([root - (m + 1)])
+    at_rule = np.zeros(1, dtype=np.int64)
+    while rule.size:
+        n = sizes[rule]
+        first = offsets[rule]
+        pos = np.repeat(first - (np.cumsum(n) - n), n)
+        pos += np.arange(pos.size)
+        at = np.repeat(at_rule - before[first], n)
+        at += before[pos]
+        sym = flat[pos]
+        del pos, first, n
+        # a nonterminal's value is cast to garbage here, but the first
+        # terminal of its expansion overwrites it in a later pass
+        out[at] = sym
+        cited = np.flatnonzero(sym > m)
+        rule = sym[cited] - (m + 1)
+        at_rule = at[cited]
+        del at, sym, cited
+    return out
 
 
 def _pack(values: np.ndarray, widths: np.ndarray) -> BitString:
@@ -268,8 +314,8 @@ def encode_grammar(code: SymbolCode, g: DictionaryGrammar) -> BitString:
     (delta,) = np.nonzero(syms > m)
     # m + j is 10, ell zeros, the ell + 1 bits of nbits, the nbits - 1 low bits of j
     j = syms[delta] - m
-    nbits = _bit_length(j)
-    width = nbits + 2 * (_bit_length(nbits) - 1) + 2
+    nbits = bit_lengths(j)
+    width = rank_lengths(j)
     low = (nbits - 1).astype(np.uint64)
     values[delta] = (
         (np.uint64(2) << (width - 2).astype(np.uint64))
@@ -428,7 +474,7 @@ def decode_grammar(code: SymbolCode, bits: BitString | BitReader) -> DictionaryG
     sep = fixed[:stop] & (value[:stop] == 1)
     delta = starts[:stop][~fixed[:stop]]
     head = _windows(buf, delta) << np.uint64(2)  # after 10: ell zeros, nbits, low bits
-    ell = 6 - _bit_length(_top(head, 6))
+    ell = 6 - bit_lengths(_top(head, 6))
     low = _top(head << ell.astype(np.uint64), ell + 1) - 1  # nbits - 1
     j = (1 << low) | _top(_windows(buf, delta + 3 + 2 * ell), low)
     # an element of the rule after s separators must be below m + s + 1

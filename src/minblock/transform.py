@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import BitString
-from .codes import SymbolCode, rank_length
+from .codes import SymbolCode, rank_length, rank_lengths
 from .grammar import (
     BlockGrammar,
     DictionaryGrammar,
@@ -161,12 +161,7 @@ def _as_symbols(u, m: int) -> np.ndarray:
 
 def _rank_length_table(jmax: int) -> np.ndarray:
     """Vector of open-class codeword lengths for offsets 1..jmax."""
-    if jmax <= 0:
-        return np.zeros(0, dtype=np.int64)
-    j = np.arange(1, jmax + 1, dtype=np.float64)
-    t = np.frexp(j)[1] - 1  # floor(log2 j), exact for integers below 2**53
-    t2 = np.frexp((t + 1).astype(np.float64))[1] - 1
-    return (t + 2 * t2 + 3).astype(np.int64)
+    return rank_lengths(np.arange(1, max(jmax, 0) + 1))
 
 
 def _block_bytes(arr: np.ndarray) -> tuple[bytes, int]:

@@ -36,6 +36,22 @@ def test_encode_decode_empty_file(tmp_path):
     assert dec.read_bytes() == b""
 
 
+def test_decode_of_empty_citations_at_every_level(tmp_path):
+    from minblock import DictionaryGrammar, NonBlockGrammarWarning, SymbolCode, encode_grammar
+    from minblock.bits import pack_frame
+
+    # byte "A" (symbol 66) after four levels of 1000 citations of an empty
+    # rule; built level by level this would be 10**12 symbols
+    rules = ((),) + tuple((257 + i,) * 1000 for i in range(4)) + ((261, 66),)
+    g = DictionaryGrammar(256, rules)
+    enc = tmp_path / "deep.mblk"
+    enc.write_bytes(pack_frame(256, encode_grammar(SymbolCode(256), g)))
+    dec = tmp_path / "deep.out"
+    with pytest.warns(NonBlockGrammarWarning):
+        assert run(["decode", enc, dec]) == 0
+    assert dec.read_bytes() == b"A"
+
+
 def test_encode_with_alphabet_file_compresses_better(tmp_path):
     data = bytes((i % 2) + ord("a") for i in range(4096))
     src = tmp_path / "s.txt"

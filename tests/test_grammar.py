@@ -1,5 +1,7 @@
 """Grammar model: expansion, encoding, decoding, and shape validation."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -23,6 +25,7 @@ from minblock import (
     grammar_code_length,
     is_block_shaped,
 )
+from minblock.grammar import symbol_dtype
 
 
 def random_grammar(rng, m=None, num_rules=None, cite=None) -> DictionaryGrammar:
@@ -393,12 +396,26 @@ def test_expand_limit_counts_the_final_length():
         expand(g, g.primary_symbol, max_len=0)
 
 
-def test_expand_matches_the_rule_by_rule_expansion():
-    def by_rule(g, r):
-        if r <= g.m:
-            return [r]
-        return [t for e in g.rules[r - g.m - 1] for t in by_rule(g, e)]
+def test_expand_drops_empty_citations_at_every_level():
+    # each level cites the one below 1000 times and all of them expand to
+    # nothing; built level by level this would be 10**9 then 10**12 symbols
+    for depth in (3, 4):
+        rules = ((),) + tuple((3 + i,) * 1000 for i in range(depth))
+        g = DictionaryGrammar(2, rules + ((3 + depth, 1),))
+        assert expand(g, g.primary_symbol, max_len=1).tolist() == [1]
 
+
+def by_rule(g, r, memo=None):
+    """Reference expansion: each rule's body with every symbol expanded."""
+    memo = {} if memo is None else memo
+    if r <= g.m:
+        return [r]
+    if r not in memo:
+        memo[r] = [t for e in g.rules[r - g.m - 1] for t in by_rule(g, e, memo)]
+    return memo[r]
+
+
+def test_expand_matches_the_rule_by_rule_expansion():
     rng = np.random.Generator(np.random.Philox(12))
     for _ in range(300):
         g = random_grammar(rng, int(rng.choice(ALPHABETS)), int(rng.integers(1, 12)), cite=0.5)
@@ -406,3 +423,50 @@ def test_expand_matches_the_rule_by_rule_expansion():
             want = by_rule(g, r)
             assert expand(g, r).tolist() == want
             assert expand(g, r, max_len=len(want)).tolist() == want
+
+
+def test_expand_with_empty_and_one_element_rules():
+    # empty rules, one-element rules and chains of them, at every level
+    rng = np.random.Generator(np.random.Philox(13))
+    for _ in range(400):
+        m = int(rng.choice(ALPHABETS))
+        rules = []
+        for i in range(1, int(rng.integers(1, 12)) + 1):
+            rules.append(tuple(
+                int(rng.integers(m + 1, m + i)) if i > 1 and rng.random() < 0.6
+                else int(rng.integers(1, m + 1))
+                for _ in range(int(rng.choice([0, 1, 1, 2, 3])))
+            ))
+        g = DictionaryGrammar(m, tuple(rules))
+        memo = {}
+        for r in range(m + 1, g.primary_symbol + 1):
+            want = by_rule(g, r, memo)
+            got = expand(g, r, max_len=len(want))
+            assert got.tolist() == want
+            assert got.dtype == symbol_dtype(m)
+            if want:
+                with pytest.raises(ExpansionLimitError):
+                    expand(g, r, max_len=len(want) - 1)
+
+
+@pytest.mark.parametrize("chain", ["unary", "binary", "under-a-wide-rule"])
+def test_expand_deep_chains_take_linear_time(chain):
+    # d rules deep: a level-by-level expansion that copies the rule table,
+    # or carries finished terminals, on every pass takes time quadratic in d
+    d = 40_000
+    if chain == "unary":  # (1,), (3,), (4,), ...: expands to [1]
+        rules = ((1,),) + tuple((s,) for s in range(3, d + 2))
+        want = [1]
+    elif chain == "binary":  # (1,), (3, 2), (4, 2), ...: expands to 1, 2, 2, ...
+        d = 4000
+        rules = ((1,),) + tuple((s, 2) for s in range(3, d + 2))
+        want = [1] + [2] * (d - 1)
+    else:  # the unary chain's top, cited d times
+        rules = ((1,),) + tuple((s,) for s in range(3, d + 2)) + ((d + 2,) * d,)
+        want = [1] * d
+    g = DictionaryGrammar(2, rules)
+    start = time.perf_counter()
+    assert expand(g, g.primary_symbol, max_len=len(want)).tolist() == want
+    assert time.perf_counter() - start < 5.0
+
+

@@ -210,6 +210,18 @@ def test_decode_warns_on_non_block_grammar():
     assert out.tolist() == [1, 2, 1, 1, 2, 1]
 
 
+def test_decompress_limits_a_grammar_of_empty_citations():
+    from minblock import DictionaryGrammar, decompress
+    from minblock.bits import pack_frame
+
+    # expands to [1] through three levels of 1000 citations of an empty rule
+    g = DictionaryGrammar(2, ((), (3,) * 1000, (4,) * 1000, (5,) * 1000, (6, 1)))
+    frame = pack_frame(2, encode_grammar(SymbolCode(2), g))
+    with pytest.warns(NonBlockGrammarWarning):
+        out, m = decompress(frame, max_len=1)
+    assert (out.tolist(), m) == ([1], 2)
+
+
 def test_shift_and_runs_are_consistent():
     # force a parse with nonzero head and tail
     code = SymbolCode(2)
