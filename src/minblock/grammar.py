@@ -24,7 +24,14 @@ from itertools import chain
 import numpy as np
 
 from .bits import BitReader, BitString, CorruptionError, ExpansionLimitError
-from .codes import SymbolCode, bit_lengths, decode_symbol, rank_lengths, symbol_length
+from .codes import (
+    SymbolCode,
+    bit_lengths,
+    decode_symbol,
+    rank_length,
+    rank_lengths,
+    symbol_length,
+)
 
 Rule = tuple[int, ...]
 
@@ -162,9 +169,10 @@ def _rule_lengths(m: int, flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     nonterminals (only the primary rule of a block grammar) are summed in
     rule order.
     """
-    lengths = np.diff(offsets)
-    cites = np.diff(np.r_[0, np.cumsum(flat > m)][offsets])
-    for i in np.flatnonzero(cites).tolist():
+    lengths = offsets[1:] - offsets[:-1]
+    cites = np.zeros(flat.size + 1, dtype=np.int64)
+    np.cumsum(flat > m, out=cites[1:])
+    for i in np.flatnonzero(cites[offsets[1:]] - cites[offsets[:-1]]).tolist():
         body = flat[offsets[i] : offsets[i + 1]]
         part = lengths[body[body > m] - (m + 1)]
         # the int64 sum is exact unless the float sum says it may have wrapped
@@ -175,23 +183,29 @@ def _rule_lengths(m: int, flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return lengths
 
 
-def _resolve_unary(m: int, flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """The symbol each rule stands for once chains of one-element rules are followed.
+def _skip_unary(m: int, flat: np.ndarray, offsets: np.ndarray, r: int) -> int:
+    """Cite what each one-element rule stands for instead of the rule itself.
 
-    A rule of one element stands for that element; any other rule for its
-    own symbol.  The chains are followed by pointer doubling, so a chain of
-    d rules takes about log2(d) array passes.
+    A rule of one element stands for that element, and any other rule for
+    its own symbol.  Chains of one-element rules are followed by pointer
+    doubling, so a chain of d rules takes about log2(d) array passes.
+    ``flat`` is rewritten in place; returns the symbol ``r`` stands for.
     """
+    unary = np.flatnonzero(offsets[1:] - offsets[:-1] == 1)
+    if not unary.size:
+        return r
     alias = np.arange(m + 1, m + offsets.size, dtype=np.int64)
-    unary = np.diff(offsets) == 1
-    alias[unary] = flat[offsets[:-1][unary]]
+    alias[unary] = flat[offsets[unary]]
     while True:
         cited = alias > m
         step = alias.copy()
         step[cited] = alias[alias[cited] - (m + 1)]
         if np.array_equal(step, alias):
-            return alias
+            break
         alias = step
+    cited = flat > m
+    flat[cited] = alias[flat[cited] - (m + 1)]
+    return int(alias[r - m - 1])
 
 
 def expand(g: DictionaryGrammar, r: int, max_len: int | None = None) -> np.ndarray:
@@ -233,11 +247,11 @@ def expand(g: DictionaryGrammar, r: int, max_len: int | None = None) -> np.ndarr
     size[cited] = lengths[flat[cited] - (m + 1)]
     keep = size > 0
     if not keep.all():
-        offsets = np.r_[0, np.cumsum(keep)][offsets]
+        kept = np.zeros(flat.size + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept[1:])
+        offsets = kept[offsets]
         flat, size = flat[keep], size[keep]
-    alias = _resolve_unary(m, flat, offsets)
-    cited = flat > m
-    flat[cited] = alias[flat[cited] - (m + 1)]
+    root = _skip_unary(m, flat, offsets, r)
     # where each element's expansion starts within the rules laid end to end;
     # the int64 sums wrap only past rules longer than the output, which no
     # rule reachable from r is, so the differences taken below are exact
@@ -245,11 +259,10 @@ def expand(g: DictionaryGrammar, r: int, max_len: int | None = None) -> np.ndarr
     before -= size
     del cited, keep, size, lengths
 
-    root = int(alias[r - m - 1])
     if root <= m:
         out[0] = root
         return out
-    sizes = np.diff(offsets)
+    sizes = offsets[1:] - offsets[:-1]
     rule = np.array([root - (m + 1)])
     at_rule = np.zeros(1, dtype=np.int64)
     while rule.size:
@@ -351,7 +364,7 @@ def _delta_lengths() -> np.ndarray:
         prefix_len = 2 * nbits.bit_length() + 1
         prefix = (0b10 << (prefix_len - 2)) | nbits
         lo = prefix << (16 - prefix_len)
-        table[lo : lo + (1 << (16 - prefix_len))] = prefix_len + nbits - 1
+        table[lo : lo + (1 << (16 - prefix_len))] = rank_length(1 << (nbits - 1))
     return table
 
 
