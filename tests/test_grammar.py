@@ -468,5 +468,3 @@ def test_expand_deep_chains_take_linear_time(chain):
     start = time.perf_counter()
     assert expand(g, g.primary_symbol, max_len=len(want)).tolist() == want
     assert time.perf_counter() - start < 5.0
-
-
