@@ -84,6 +84,12 @@ def mi_bound(result: TransformResult) -> int:
     return result.num_rules * (result.block_len + 1) * fl
 
 
+def line_fit(xs, ys) -> tuple[float, float]:
+    """Slope and intercept of the least-squares line through the points (x, y)."""
+    slope, intercept = np.polyfit(xs, ys, 1)
+    return float(slope), float(intercept)
+
+
 def hilberg_exponent(series, *, min_n: int | None = None, max_n: int | None = None) -> float:
     """Log-log regression slope of a growth series, clipped below at zero.
 
@@ -108,9 +114,7 @@ def hilberg_exponent(series, *, min_n: int | None = None, max_n: int | None = No
     ]
     if len(pairs) < 2:
         raise ValueError("need at least two positive points to fit a slope")
-    x = np.log2([n for n, _ in pairs])
-    y = np.log2([v for _, v in pairs])
-    slope = float(np.polyfit(x, y, 1)[0])
+    slope, _ = line_fit(np.log2([n for n, _ in pairs]), np.log2([v for _, v in pairs]))
     return max(slope, 0.0)
 
 

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import SymbolCode
-from .grammar import DictionaryGrammar, encode_grammar
+from .bits import BitString
+from .codes import SymbolCode, encode_symbol
+from .grammar import DictionaryGrammar
 
 log = logging.getLogger(__name__)
 
@@ -29,6 +30,22 @@ class EnumerationBudget:
     max_n: int = 10
     max_distinct: int = 6  # identifier assignments enumerated: max_distinct!
     max_k: int | None = None
+
+
+def encode_by_codeword(code: SymbolCode, g: DictionaryGrammar) -> BitString:
+    """Reference emitter: ``encode_symbol`` once per symbol.
+
+    Bit for bit what ``encode_grammar`` emits, one codeword at a time.  It is
+    also much faster than ``encode_grammar`` on the tiny grammars enumerated
+    here, which pay numpy's fixed cost per call.
+    """
+    out = BitString()
+    for rule in g.rules:
+        for e in rule:
+            encode_symbol(code, e, out)
+        encode_symbol(code, 0, out)
+    encode_symbol(code, -1, out)
+    return out
 
 
 def _assignment_grammar(m: int, head, blocks, occ_index, tail, perm) -> DictionaryGrammar:
@@ -45,8 +62,8 @@ def brute_force_min_block(code: SymbolCode, u, budget: EnumerationBudget | None 
 
     Enumerates every block length, phase, and identifier permutation, plus
     the bare terminal grammar, and scores each candidate by materializing
-    its bits with the grammar encoder (deliberately not reusing any closed
-    form from the fast path).
+    its bits with :func:`encode_by_codeword` (deliberately not reusing any
+    closed form from the fast path).
     """
     if budget is None:
         budget = EnumerationBudget()
@@ -56,7 +73,7 @@ def brute_force_min_block(code: SymbolCode, u, budget: EnumerationBudget | None 
         raise ValueError(f"string length {n} exceeds the enumeration budget {budget.max_n}")
     m = code.m
 
-    best = len(encode_grammar(code, DictionaryGrammar(m, (tuple(u),))))
+    best = len(encode_by_codeword(code, DictionaryGrammar(m, (tuple(u),))))
     kcap = n if budget.max_k is None else min(n, budget.max_k)
     for k in range(1, kcap + 1):
         for l in range(0, min(k, n - k + 1)):
@@ -73,7 +90,7 @@ def brute_force_min_block(code: SymbolCode, u, budget: EnumerationBudget | None 
             occ_index = [blocks.index(b) for b in parsed]
             for perm in itertools.permutations(range(len(blocks))):
                 g = _assignment_grammar(m, head, blocks, occ_index, tail, perm)
-                best = min(best, len(encode_grammar(code, g)))
+                best = min(best, len(encode_by_codeword(code, g)))
     return best
 
 

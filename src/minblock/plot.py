@@ -1,13 +1,15 @@
 """Minimal self-contained SVG plotting: log-log scatter with fitted lines.
 
-Kept dependency free on purpose; the experiment harness only needs dyadic
-scatter plots with a regression line and a slope in the legend.
+Kept free of plotting libraries on purpose; the experiment harness only
+needs dyadic scatter plots with a regression line and a slope in the legend.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from .analysis import line_fit
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -21,16 +23,6 @@ class Series:
     ns: tuple[int, ...]
     values: tuple[float, ...]
     slope: float | None  # None when too few positive points to fit
-
-
-def _fit(xs, ys):
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    slope = sxy / sxx if sxx else 0.0
-    return slope, my - slope * mx
 
 
 def render_loglog_svg(series: list[Series], title: str, xlabel: str, ylabel: str) -> str:
@@ -120,7 +112,7 @@ def render_loglog_svg(series: list[Series], title: str, xlabel: str, ylabel: str
                 f'fill-opacity="0.85"/>'
             )
         if len(xy) >= 2:
-            slope, icept = _fit([p[0] for p in xy], [p[1] for p in xy])
+            slope, icept = line_fit([p[0] for p in xy], [p[1] for p in xy])
             xs0, xs1 = min(p[0] for p in xy), max(p[0] for p in xy)
             out.append(
                 f'<line x1="{sx(xs0):.1f}" y1="{sy(slope * xs0 + icept):.1f}" '

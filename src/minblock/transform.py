@@ -9,17 +9,25 @@ counted exactly in bits of the final emission; the bare terminal grammar is
 always a candidate, so the result is the global minimum over all block
 grammars producing the input.
 
-The sweep over (k, l) stays near linear thanks to pruning that is safe by
-construction:
+One suffix index of the input, built once, answers every question the
+sweep over (k, l) asks: a suffix array by prefix doubling and the longest
+common prefix (LCP) of each pair of neighbouring suffixes.
 
-* a parse can only beat the terminal grammar if some block repeats, so block
-  lengths beyond the longest repeated substring are never examined;
-* positions whose k-gram occurs once globally contribute pairwise-distinct
-  singleton blocks, which yields a per-phase lower bound on the parse cost
-  from a single duplicate scan (done with a 64-bit rolling hash: collisions
-  only weaken the bound, never the exactness);
-* a block length is skipped outright when even one secondary rule would
+* A parse can only beat the terminal grammar if some block repeats, so k
+  runs up to the longest repeated substring, the largest LCP.
+* The k-gram at position i occurs twice or more exactly when the suffix at i
+  shares k symbols with a neighbour in sorted order.  Positions whose k-gram
+  occurs once contribute pairwise-distinct singleton blocks, which yields a
+  per-phase lower bound on the parse cost; a phase is counted only when its
+  bound is below the best cost so far.
+* Cutting the sorted suffixes wherever the LCP drops below k gives every
+  k-gram a class ID, equal for equal k-grams and ascending in their order,
+  so the block counts of a phase come from sorting the IDs of its blocks.
+* A block length is skipped outright when even one secondary rule would
   already cost more than the best grammar found so far.
+
+Every bound is exact or a true lower bound, so pruning never changes the
+result.
 """
 
 from __future__ import annotations
@@ -41,13 +49,6 @@ from .grammar import (
     is_block_shaped,
     symbol_dtype,
 )
-
-# below this the plain dict sweep beats numpy call overhead
-_VECTOR_MIN_N = 4096
-
-_HASH_BASE = 0x9E3779B97F4A7C15 | 1
-_HASH_BASE_INV = pow(_HASH_BASE, -1, 1 << 64)
-
 
 class NonBlockGrammarWarning(UserWarning):
     """Decoded payload is a valid dictionary grammar but not block shaped."""
@@ -164,93 +165,78 @@ def _rank_length_table(jmax: int) -> np.ndarray:
     return rank_lengths(np.arange(1, max(jmax, 0) + 1))
 
 
-def _block_bytes(arr: np.ndarray) -> tuple[bytes, int]:
-    """Byte buffer whose lexicographic order matches the symbol order."""
-    w = arr.dtype.itemsize
-    return arr.astype(f">u{w}").tobytes(), w
+def _suffix_index(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Suffix ranks ``rank`` and neighbour LCP array ``lcp`` of ``arr``.
 
-
-def _longest_repeat(buf: bytes, w: int, n: int) -> int:
-    """Largest L such that some length-L substring occurs twice (0 if none)."""
-
-    def has_repeat(L: int) -> bool:
-        seen = set()
-        step = w * L
-        for off in range(0, w * (n - L + 1), w):
-            s = buf[off : off + step]
-            if s in seen:
-                return True
-            seen.add(s)
-        return False
-
-    if n < 2 or not has_repeat(1):
-        return 0
-    lo, hi = 1, n - 1  # has_repeat(lo) holds
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if has_repeat(mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-def _sweep_small(arr: np.ndarray, code: SymbolCode, best: int, kmax: int | None):
-    n = arr.size
-    fl = code.fixed_len
-    buf, w = _block_bytes(arr)
-    kcap = min(n, _longest_repeat(buf, w, n))
-    if kmax is not None:
-        kcap = min(kcap, kmax)
-    if kcap < 1:
-        return best, None
-    rank_len = _rank_length_table(n).tolist()
-    best_kl = None
-    for k in range(1, kcap + 1):
-        if (k + 1) * fl >= best:
-            break
-        step = w * k
-        for l in range(0, min(k, n - k + 1)):
-            p = (n - l) // k
-            tail = (n - l) - p * k
-            base = w * l
-            counts = Counter(
-                buf[off : off + step] for off in range(base, base + p * step, step)
-            )
-            cost = len(counts) * (k + 1) * fl + (l + tail + 2) * fl
-            if cost >= best:
-                continue
-            for i, c in enumerate(sorted(counts.values(), reverse=True)):
-                cost += c * rank_len[i]
-                if cost >= best:
-                    break
-            if cost < best:
-                best = cost
-                best_kl = (k, l)
-    return best, best_kl
-
-
-def _duplicate_flags(arr64: np.ndarray, powers: np.ndarray, inv_powers: np.ndarray,
-                     prefix: np.ndarray, k: int) -> np.ndarray:
-    """Boolean flags for start positions whose k-gram hash occurs twice or more.
-
-    Hash collisions can only overflag, which keeps every bound derived from
-    the flags a valid lower bound.
+    ``rank[i]`` is the place of the suffix starting at i in sorted order (the
+    inverse suffix array), and ``lcp[r]`` is the length of the longest common
+    prefix of the suffixes at places r - 1 and r, with ``lcp[0] = 0``.  The
+    suffixes are sorted by prefix doubling (Manber & Myers 1993): round j
+    ranks each suffix by its first 2**j symbols, from the pair of round j-1
+    ranks at i and i + 2**(j-1), with one argsort.  The rounds stop once every
+    rank is distinct, after ceil(log2(L + 1)) rounds for a longest repeat L.
+    The LCP is then summed by binary lifting over the kept rank arrays, top
+    level first: equal ranks at level j mean 2**j equal symbols.
     """
-    n = arr64.size
-    window = prefix[k - 1 :].copy()
-    window[1:] -= prefix[: n - k]
-    window *= inv_powers[: n - k + 1]
-    order = np.argsort(window, kind="stable")
-    ws = window[order]
-    eq = ws[1:] == ws[:-1]
-    rep_sorted = np.empty(ws.size, dtype=bool)
-    rep_sorted[0] = False
-    rep_sorted[1:] = eq
-    rep_sorted[:-1] |= eq
-    flags = np.empty(ws.size, dtype=bool)
-    flags[order] = rep_sorted
-    return flags
+    n = arr.size
+    dtype = np.int32 if n < 2**31 else np.int64
+    if n == 0:
+        return np.zeros(0, dtype), np.zeros(0, dtype)
+    levels = []  # level j ranks each suffix by its first 2**j symbols
+    key = arr
+    while True:
+        sa = np.argsort(key)
+        sorted_key = key[sa]
+        sorted_rank = np.zeros(n, dtype)
+        np.cumsum(sorted_key[1:] != sorted_key[:-1], dtype=dtype, out=sorted_rank[1:])
+        rank = np.empty(n + 1, dtype)
+        rank[sa] = sorted_rank
+        rank[n] = -1  # the empty suffix ranks first
+        levels.append(rank)
+        if sorted_rank[-1] == n - 1:
+            break
+        h = 1 << (len(levels) - 1)
+        key = rank[:n].astype(np.int64)
+        key *= n + 1
+        key[: n - h] += rank[h:n] + 1
+    sa = sa.astype(dtype)
+    left, right = sa[:-1], sa[1:]
+    common = np.zeros(n - 1, dtype)
+    levels.pop()  # all distinct, so no two suffixes match at the top level
+    while levels:
+        level = levels.pop()
+        common[level[left + common] == level[right + common]] += 1 << len(levels)
+    return rank[:n], np.concatenate((np.zeros(1, dtype), common))
+
+
+def _repeat_reach(rank: np.ndarray, lcp: np.ndarray) -> np.ndarray:
+    """Per start position, the longest prefix of its suffix that occurs twice.
+
+    It is the larger LCP of the suffix with its two neighbours in sorted
+    order, so the k-gram at i occurs at least twice exactly when
+    ``reach[i] >= k``.
+    """
+    return np.maximum(lcp, np.append(lcp[1:], 0))[rank]
+
+
+def _kgram_classes(rank: np.ndarray, lcp: np.ndarray, k: int) -> np.ndarray:
+    """Per start position, a class ID of its k-gram.
+
+    Equal k-grams share an ID, and IDs ascend in the order of the k-grams.
+    Positions whose suffix is shorter than k get IDs of their own.
+    """
+    return np.cumsum(lcp < k, dtype=lcp.dtype)[rank]
+
+
+def _block_counts(ids: np.ndarray) -> np.ndarray:
+    """Occurrence counts of the distinct values in ``ids`` (nonempty)."""
+    ids = ids.copy()
+    ids.sort()
+    run_start = np.empty(ids.size + 1, dtype=bool)
+    run_start[0] = run_start[-1] = True
+    np.not_equal(ids[1:], ids[:-1], out=run_start[1:-1])
+    bounds = run_start.nonzero()[0]
+    return bounds[1:] - bounds[:-1]
 
 
 def _ref_floor(s_lb: int, p: int, cum_rank_len: np.ndarray) -> int:
@@ -264,43 +250,27 @@ def _ref_floor(s_lb: int, p: int, cum_rank_len: np.ndarray) -> int:
     return int(cum_rank_len[s_lb]) + 3 * (p - s_lb)
 
 
-def _sweep_large(arr: np.ndarray, code: SymbolCode, best: int, kmax: int | None):
-    n = arr.size
-    fl = code.fixed_len
-    m = code.m
-    buf, w = _block_bytes(arr)
-    bytes_view = np.frombuffer(buf, dtype=np.uint8)
+def _sweep(code: SymbolCode, rank: np.ndarray, lcp: np.ndarray, best: int,
+           kmax: int | None):
+    """Cost and (k, l) of the cheapest parse costing less than ``best``.
 
+    Returns ``(best, None)`` when no parse does.
+    """
+    n = lcp.size
+    fl = code.fixed_len
+    kcap = int(lcp.max(initial=0))  # the longest repeat: no longer block repeats
+    if kmax is not None:
+        kcap = min(kcap, kmax)
+    reach = _repeat_reach(rank, lcp)
     rank_len = _rank_length_table(n)
     cum_rank_len = np.concatenate(([0], np.cumsum(rank_len)))
 
-    arr64 = arr.astype(np.uint64)
-    base = np.uint64(_HASH_BASE)
-    powers = np.empty(n, dtype=np.uint64)
-    powers[0] = 1
-    if n > 1:
-        np.cumprod(np.full(n - 1, base, dtype=np.uint64), out=powers[1:])
-    inv_powers = np.empty(n, dtype=np.uint64)
-    inv_powers[0] = 1
-    if n > 1:
-        np.cumprod(np.full(n - 1, np.uint64(_HASH_BASE_INV), dtype=np.uint64),
-                   out=inv_powers[1:])
-    prefix = np.cumsum(arr64 * powers, dtype=np.uint64)
-
-    pack_cap = _pack_capacity(m)
-
     dup_bound = n  # valid upper bound on the duplicate count for every k
     best_kl = None
-    k = 0
-    while True:
-        k += 1
-        if k > n or (kmax is not None and k > kmax):
-            break
+    for k in range(1, kcap + 1):
         if (k + 1) * fl >= best:
             break
         p_hi = n // k
-        if p_hi < 1:
-            break
 
         # cheapest conceivable cost for this k given the stale duplicate bound
         skip = True
@@ -317,14 +287,11 @@ def _sweep_large(arr: np.ndarray, code: SymbolCode, best: int, kmax: int | None)
         if skip:
             continue
 
-        flags = _duplicate_flags(arr64, powers, inv_powers, prefix, k)
-        dup = int(flags.sum())
-        dup_bound = dup  # duplicates can only vanish as k grows
-        if dup == 0:
-            break  # no length-k substring repeats, so no longer one does
-        starts = np.flatnonzero(flags)
+        starts = np.flatnonzero(reach >= k)
+        dup_bound = starts.size  # duplicates can only vanish as k grows
         per_shift = np.bincount(starts % k, minlength=k)
 
+        classes = None
         for l in range(0, min(k, n - k + 1)):
             p = (n - l) // k
             tail = (n - l) - p * k
@@ -336,7 +303,9 @@ def _sweep_large(arr: np.ndarray, code: SymbolCode, best: int, kmax: int | None)
             )
             if lb >= best:
                 continue
-            counts = _parse_counts(arr, bytes_view, w, m, pack_cap, k, l, p)
+            if classes is None:
+                classes = _kgram_classes(rank, lcp, k)
+            counts = _block_counts(classes[l : l + p * k : k])
             cost = counts.size * (k + 1) * fl + (l + tail + 2) * fl
             if cost < best:
                 counts[::-1].sort()
@@ -347,58 +316,23 @@ def _sweep_large(arr: np.ndarray, code: SymbolCode, best: int, kmax: int | None)
     return best, best_kl
 
 
-def _pack_capacity(m: int) -> int:
-    """Largest block length whose blocks pack exactly into one uint64."""
-    cap = 0
-    acc = m + 1
-    while acc <= 1 << 64:
-        acc *= m + 1
-        cap += 1
-    return cap
-
-
-def _block_ids(arr: np.ndarray, bytes_view: np.ndarray, w: int, m: int,
-               pack_cap: int, k: int, l: int, p: int) -> np.ndarray:
-    """One key per block of the parse; keys sort as the blocks do.
-
-    A block of at most ``pack_cap`` symbols is its base-(m+1) number; a
-    longer one is its big-endian bytes viewed as one void item.
-    """
-    if k <= pack_cap:
-        sub = arr[l : l + p * k].reshape(p, k).astype(np.uint64)
-        ids = np.zeros(p, dtype=np.uint64)
-        radix = np.uint64(m + 1)
-        for col in range(k):
-            ids *= radix
-            ids += sub[:, col]
-        return ids
-    rows = bytes_view[w * l : w * (l + p * k)].reshape(p, w * k)
-    return rows.view(f"V{w * k}").ravel()
-
-
-def _parse_counts(arr: np.ndarray, bytes_view: np.ndarray, w: int, m: int,
-                  pack_cap: int, k: int, l: int, p: int) -> np.ndarray:
-    """Occurrence counts of the distinct blocks of one parse (any order)."""
-    ids = _block_ids(arr, bytes_view, w, m, pack_cap, k, l, p)
-    return np.unique(ids, return_counts=True)[1]
-
-
-def _build_block_grammar(arr: np.ndarray, code: SymbolCode, k: int, l: int):
+def _build_block_grammar(arr: np.ndarray, code: SymbolCode, k: int, l: int,
+                         classes: np.ndarray):
     """Materialize the ranked grammar for the winning (k, l) parse.
 
-    Blocks are ranked by descending count, ties by ascending block, as in
-    :class:`RankedBlockTable`: ``np.unique`` lists them in ascending order
-    and a stable sort on the count keeps that order within a tie.
+    ``classes`` are the k-gram class IDs of :func:`_kgram_classes`.  Blocks
+    are ranked by descending count, ties by ascending block, as in
+    :class:`RankedBlockTable`: ``np.unique`` lists the IDs in ascending
+    order, which is block order, and a stable sort on the count keeps that
+    order within a tie.
     """
     n = arr.size
     m = code.m
     p = (n - l) // k
     tail = (n - l) - p * k
-    buf, w = _block_bytes(arr)
-    ids = _block_ids(arr, np.frombuffer(buf, dtype=np.uint8), w, m, _pack_capacity(m),
-                     k, l, p)
     _, first, inverse, counts = np.unique(
-        ids, return_index=True, return_inverse=True, return_counts=True
+        classes[l : l + p * k : k], return_index=True, return_inverse=True,
+        return_counts=True,
     )
     order = np.argsort(-counts, kind="stable")
     rank = np.empty_like(order)
@@ -420,17 +354,14 @@ def minimal_block_transform(code: SymbolCode, u, *, kmax: int | None = None) -> 
     n = arr.size
     if kmax is not None and kmax < 1:
         raise ValueError("kmax must be positive")
-    best = (n + 2) * code.fixed_len
-    best_kl = None
-    if n >= 1:
-        sweep = _sweep_small if n < _VECTOR_MIN_N else _sweep_large
-        best, best_kl = sweep(arr, code, best, kmax)
+    rank, lcp = _suffix_index(arr)
+    best, best_kl = _sweep(code, rank, lcp, (n + 2) * code.fixed_len, kmax)
     if best_kl is None:
         g = DictionaryGrammar(code.m, (tuple(int(x) for x in arr),))
         return TransformResult(grammar=g, code_bits=best, num_rules=1,
                                block_len=0, shift=0)
     k, l = best_kl
-    grammar = _build_block_grammar(arr, code, k, l)
+    grammar = _build_block_grammar(arr, code, k, l, _kgram_classes(rank, lcp, k))
     return TransformResult(
         grammar=grammar,
         code_bits=best,

@@ -26,6 +26,7 @@ from minblock import (
     is_block_shaped,
 )
 from minblock.grammar import symbol_dtype
+from minblock.oracle import encode_by_codeword
 
 
 def random_grammar(rng, m=None, num_rules=None, cite=None) -> DictionaryGrammar:
@@ -44,17 +45,6 @@ def random_grammar(rng, m=None, num_rules=None, cite=None) -> DictionaryGrammar:
                 for _ in range(width)
             ))
     return DictionaryGrammar(m, tuple(rules))
-
-
-def encode_by_codeword(code, g) -> BitString:
-    """Reference emitter: ``encode_symbol`` once per symbol."""
-    out = BitString()
-    for rule in g.rules:
-        for e in rule:
-            encode_symbol(code, e, out)
-        encode_symbol(code, 0, out)
-    encode_symbol(code, -1, out)
-    return out
 
 
 def decode_by_codeword(code, bits) -> DictionaryGrammar:

@@ -1,8 +1,10 @@
 """Transform: parse costs, global optimality, round trips, determinism."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minblock import (
@@ -21,9 +23,9 @@ from minblock.grammar import symbol_dtype
 from minblock.transform import (
     _as_symbols,
     _build_block_grammar,
-    _pack_capacity,
-    _sweep_large,
-    _sweep_small,
+    _kgram_classes,
+    _repeat_reach,
+    _suffix_index,
 )
 
 from reference import reference_min_bits
@@ -125,15 +127,21 @@ def test_terminal_grammar_upper_bound():
 def test_matches_reference_sweep():
     rng = np.random.Generator(np.random.Philox(23))
     cases = []
-    for n in (16, 30, 48, 64):
+    for n in (16, 30, 48, 64, 100):
         cases.append(("flat", [1] * n, 2))
         cases.append(("period2", ([1, 2] * n)[:n], 2))
         cases.append(("period3", ([1, 1, 2] * n)[:n], 2))
         half = list(map(int, _random_string(rng, 2, n // 2)))
         cases.append(("doubled", half + half, 2))
+        piece = list(map(int, _random_string(rng, 2, 21)))
+        cases.append(("tiled21", (piece * n)[:n], 2))
         cases.append(("random2", list(map(int, _random_string(rng, 2, n))), 2))
         cases.append(("random3", list(map(int, _random_string(rng, 3, n))), 3))
         cases.append(("random27", list(map(int, _random_string(rng, 27, n))), 27))
+        for m in (300, 70000):
+            # a few symbols near the top of the alphabet, so blocks repeat
+            letters = rng.integers(1, m + 1, 3).tolist() + [m]
+            cases.append((f"random{m}", [int(rng.choice(letters)) for _ in range(n)], m))
     for label, u, m in cases:
         code = SymbolCode(m)
         got = minimal_block_transform(code, u).code_bits
@@ -141,30 +149,43 @@ def test_matches_reference_sweep():
         assert got == want, (label, len(u), got, want)
 
 
-def test_vector_and_dict_paths_agree():
-    rng = np.random.Generator(np.random.Philox(24))
-    for _ in range(12):
-        n = int(rng.integers(4200, 7000))
-        m = int(rng.choice([2, 3, 27]))
-        u = _random_string(rng, m, n)
-        code = SymbolCode(m)
-        arr = _as_symbols(u, m)
-        seed_best = (n + 2) * code.fixed_len
-        assert _sweep_small(arr, code, seed_best, None) == _sweep_large(
-            arr, code, seed_best, None
-        )
-    # structured strings exercise the duplicate-flag pruning differently
-    for u in (
-        np.ones(5000, np.uint8),
-        np.tile(np.array([1, 2], np.uint8), 2600),
-        np.concatenate([_random_string(rng, 2, 2600).astype(np.uint8)] * 2),
-    ):
-        code = SymbolCode(2)
-        arr = _as_symbols(u, 2)
-        seed_best = (len(u) + 2) * code.fixed_len
-        assert _sweep_small(arr, code, seed_best, None) == _sweep_large(
-            arr, code, seed_best, None
-        )
+@st.composite
+def _indexed_strings(draw):
+    m = draw(st.sampled_from([2, 3, 300, 70000]))
+    letters = draw(st.lists(st.integers(1, m), min_size=1, max_size=8, unique=True))
+    return draw(st.lists(st.sampled_from(letters), max_size=300)), m
+
+
+@settings(max_examples=100, deadline=None)
+@given(_indexed_strings())
+@example(([], 2))
+@example(([7], 300))
+@example(([1] * 300, 2))
+def test_suffix_index_is_exact(case):
+    u, m = case
+    n = len(u)
+    rank, lcp = _suffix_index(_as_symbols(u, m))
+    sa = np.argsort(rank).tolist()
+    assert sa == sorted(range(n), key=lambda i: u[i:])
+    assert sorted(rank.tolist()) == list(range(n))
+
+    def common(a, b):
+        c = 0
+        while a + c < n and b + c < n and u[a + c] == u[b + c]:
+            c += 1
+        return c
+
+    assert lcp.tolist() == [0][:n] + [common(sa[i - 1], sa[i]) for i in range(1, n)]
+    reach = _repeat_reach(rank, lcp)
+    for k in range(1, max(lcp.tolist(), default=0) + 2):
+        grams = [tuple(u[i : i + k]) for i in range(n - k + 1)]
+        counts = Counter(grams)
+        short = [False] * (n - len(grams))  # suffixes shorter than k
+        assert (reach >= k).tolist() == [counts[g] >= 2 for g in grams] + short
+        classes = _kgram_classes(rank, lcp, k)[: len(grams)].tolist()
+        ordered = sorted(zip(classes, grams))
+        for (c0, g0), (c1, g1) in zip(ordered, ordered[1:]):
+            assert (c0 == c1) == (g0 == g1) and g0 <= g1
 
 
 def test_round_trip_small_batch():
@@ -237,26 +258,26 @@ def test_shift_and_runs_are_consistent():
 
 
 @pytest.mark.parametrize(
-    "m, ks, packed",
+    "m, ks",
     [
-        (2, (1, 2, 3, 7), True),  # blocks packed into one uint64
-        (2, (41, 44), False),  # k above the pack capacity of 40: void view
-        (300, (1, 2, 7), True),  # uint16 symbols
-        (300, (8, 9), False),
+        (2, (1, 2, 3, 7)),
+        (2, (41, 44)),
+        (300, (1, 2, 7)),  # uint16 symbols
+        (300, (8, 9)),
     ],
 )
-def test_block_build_ranks_as_the_table(m, ks, packed):
+def test_block_build_ranks_as_the_table(m, ks):
     rng = np.random.Generator(np.random.Philox(27))
     code = SymbolCode(m)
     for k in ks:
-        assert (k <= _pack_capacity(m)) == packed
         for _ in range(4):
             # few distinct symbols give repeated blocks and many equal counts
             piece = rng.integers(1, min(m, int(rng.choice([2, 3, m]))) + 1, 6 * k)
             u = np.concatenate([piece, rng.permutation(piece), piece[: 3 * k + 1]])
             arr = _as_symbols(u, m)
+            classes = _kgram_classes(*_suffix_index(arr), k)
             for l in range(k):
-                g = _build_block_grammar(arr, code, k, l)
+                g = _build_block_grammar(arr, code, k, l, classes)
                 table = RankedBlockTable.from_parse(u.tolist(), k, l)
                 assert g.base.rules[:-1] == tuple(block for block, _ in table.entries)
                 rank = {block: i for i, (block, _) in enumerate(table.entries, start=m + 1)}
