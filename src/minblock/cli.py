@@ -42,7 +42,6 @@ _DECODE_LIMIT = 1 << 31
 CSV_FIELDS = (
     "source",
     "n",
-    "k",
     "shift",
     "rules",
     "block_len",
@@ -72,7 +71,6 @@ class ExperimentRecord:
 
     source: str
     n: int
-    k: int
     shift: int
     rules: int
     block_len: int
@@ -177,7 +175,6 @@ def run_sweep(specs, ns, *, kmax=None, warn=None) -> list[ExperimentRecord]:
                 ExperimentRecord(
                     source=spec.label,
                     n=n,
-                    k=result.block_len,
                     shift=result.shift,
                     rules=result.num_rules,
                     block_len=result.block_len,
@@ -198,7 +195,6 @@ def records_to_csv(records) -> str:
             [
                 r.source,
                 r.n,
-                r.k,
                 r.shift,
                 r.rules,
                 r.block_len,

@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -105,22 +106,34 @@ class RankedBlockTable:
 
 @dataclass(frozen=True)
 class TransformResult:
-    """Winning grammar plus the headline statistics of the search."""
+    """Winning parse plus the headline statistics of the search.
 
-    grammar: BlockGrammar | DictionaryGrammar
+    The search does not build the grammar.  ``grammar`` and ``dictionary``
+    build it from the winning parse the first time either is read, and keep
+    it; callers that read only the statistics, such as the sweep and the MI
+    bound, never pay for it.  The result keeps a copy of the input symbols
+    and the class IDs of the parse's blocks to build it from.
+    """
+
     code_bits: int
     num_rules: int
     block_len: int  # 0 for the bare terminal grammar
     shift: int
+    m: int
+    _symbols: np.ndarray = field(repr=False, compare=False)
+    _block_ids: np.ndarray | None = field(repr=False, compare=False)
+
+    @cached_property
+    def grammar(self) -> BlockGrammar | DictionaryGrammar:
+        if self._block_ids is None:
+            return DictionaryGrammar(self.m, (tuple(self._symbols.tolist()),))
+        return _build_block_grammar(self._symbols, self.m, self.block_len, self.shift,
+                                    self._block_ids)
 
     @property
     def dictionary(self) -> DictionaryGrammar:
         g = self.grammar
         return g.base if isinstance(g, BlockGrammar) else g
-
-    @property
-    def m(self) -> int:
-        return self.grammar.m
 
 
 def block_cost(code: SymbolCode, table: RankedBlockTable, k: int, l: int, tail: int) -> int:
@@ -165,47 +178,155 @@ def _rank_length_table(jmax: int) -> np.ndarray:
     return rank_lengths(np.arange(1, max(jmax, 0) + 1))
 
 
+def _packed_words(arr: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """The w-symbol prefix of every suffix of ``arr`` packed into one word.
+
+    ``b`` is the bit length of the largest symbol and ``w`` the largest power
+    of two with ``w * b <= 64``.  ``words[i]`` holds symbols i..i+w-1, the
+    first one highest and 0 past the end, so words order as their prefixes
+    do; ``words[n] = 0`` stands for the empty suffix.  Returns
+    ``(words, w, b)``.
+    """
+    n = arr.size
+    b = int(arr.max()).bit_length()
+    w = 1 << ((64 // b).bit_length() - 1)
+    words = np.zeros(n + 1, np.uint64)
+    words[:n] = arr
+    span = 1
+    while span < w:  # words[i] packs 2 * span symbols after this pass
+        packed = words << (span * b)
+        packed[: max(n + 1 - span, 0)] |= words[span:]
+        words = packed
+        span *= 2
+    return words, w, b
+
+
+def _shared_symbols(x: np.ndarray, y: np.ndarray, w: int, b: int) -> np.ndarray:
+    """How many leading symbols the packed words ``x`` and ``y`` share, w if equal.
+
+    Read off the highest set bit of ``x ^ y``.  Only 32-bit halves are
+    converted to float, which holds them without rounding, so the bit
+    position is exact.
+    """
+    diff = x ^ y
+    half = diff.astype(np.uint32)
+    diff >>= 32
+    top = diff > 0
+    high = diff.astype(np.uint32)
+    del diff  # the halves take half its memory
+    np.copyto(half, high, where=top)
+    del high
+    bits = np.frexp(half)[1]
+    bits[top] += 32
+    return (w * b - bits) // b
+
+
+def _run_heads(*keys: np.ndarray) -> np.ndarray:
+    """Where a run of equal sorted key tuples starts, with one more True at the end."""
+    head = np.empty(keys[0].size + 1, dtype=bool)
+    head[0] = head[-1] = True
+    np.not_equal(keys[0][1:], keys[0][:-1], out=head[1:-1])
+    for key in keys[1:]:
+        head[1:-1] |= key[1:] != key[:-1]
+    return head
+
+
+def _regroup(rank: np.ndarray, suffixes: np.ndarray, slots: np.ndarray,
+             head: np.ndarray) -> np.ndarray:
+    """Give ``suffixes`` the IDs of their groups; return the slots still tied.
+
+    ``suffixes`` sit at the ascending ``slots`` in suffix order, and
+    ``head`` (from :func:`_run_heads`) marks where a group starts.  A group's
+    ID is the slot of its first suffix.  The slots still tied are those of
+    groups with two or more suffixes.
+    """
+    ids = np.where(head[:-1], slots, 0)
+    np.maximum.accumulate(ids, out=ids)
+    rank[suffixes] = ids
+    return slots[~(head[:-1] & head[1:])]
+
+
+def _double(sa: np.ndarray, level: np.ndarray, rank: np.ndarray, slots: np.ndarray,
+            h: int) -> np.ndarray:
+    """One doubling round over the tied suffixes at ``slots``.
+
+    Sorts them by their group ID in ``level``, then by the group ID h symbols
+    on, writes their new group IDs into ``rank`` and returns the slots still
+    tied.
+    """
+    suffixes = sa[slots]
+    key = level[suffixes].astype(np.int64)
+    key *= level.size
+    key += level[suffixes + h]
+    suffixes = suffixes[np.argsort(key)]
+    del key  # regrouping gathers the IDs again, in half the memory of the keys
+    sa[slots] = suffixes
+    return _regroup(rank, suffixes, slots, _run_heads(level[suffixes], level[suffixes + h]))
+
+
+def _lift(levels: list, sa: np.ndarray, common: np.ndarray, words: np.ndarray,
+          w: int, b: int) -> None:
+    """Complete ``common`` for the neighbours that share a word.
+
+    ``levels[j]`` holds the group IDs by the first w * 2**j symbols.  Binary
+    lifting over them, top level first, counts the shared prefix in whole
+    words, and the packed words give the rest.  The list is emptied as it
+    goes, which frees each level after use.
+    """
+    pairs = common == w
+    a, c = sa[:-1][pairs], sa[1:][pairs]
+    lifted = np.zeros(a.size, sa.dtype)
+    while levels:
+        level = levels.pop()
+        lifted[level[a + lifted] == level[c + lifted]] += w << len(levels)
+    common[pairs] = lifted + _shared_symbols(words[a + lifted], words[c + lifted], w, b)
+
+
 def _suffix_index(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Suffix ranks ``rank`` and neighbour LCP array ``lcp`` of ``arr``.
 
     ``rank[i]`` is the place of the suffix starting at i in sorted order (the
     inverse suffix array), and ``lcp[r]`` is the length of the longest common
-    prefix of the suffixes at places r - 1 and r, with ``lcp[0] = 0``.  The
-    suffixes are sorted by prefix doubling (Manber & Myers 1993): round j
-    ranks each suffix by its first 2**j symbols, from the pair of round j-1
-    ranks at i and i + 2**(j-1), with one argsort.  The rounds stop once every
-    rank is distinct, after ceil(log2(L + 1)) rounds for a longest repeat L.
-    The LCP is then summed by binary lifting over the kept rank arrays, top
-    level first: equal ranks at level j mean 2**j equal symbols.
+    prefix of the suffixes at places r - 1 and r, with ``lcp[0] = 0``.
+
+    The suffixes are sorted by prefix doubling (Manber & Myers 1993) that
+    starts from packed words (:func:`_packed_words`): one argsort of the words
+    ranks every suffix by its first w symbols, which stands in for the first
+    log2 w doubling rounds.  Each later round doubles the prefix length h and
+    re-sorts only the suffixes whose group still has two or more members
+    (Larsson & Sadakane 2007), by the pair of group IDs at i and i + h.  A
+    group's ID is the slot of its first suffix, so equal IDs at a level mean
+    equal prefixes and the IDs ascend in prefix order.  The rounds stop once
+    every group is a single suffix.
+
+    The LCP is summed by binary lifting over the kept ID arrays, top level
+    first: equal IDs at level j mean w * 2**j equal symbols.  Only neighbours
+    that share a word need lifting.  The remainder below w is the number of
+    leading symbols two words share, read off the highest set bit of their
+    XOR.  When the word sort already separates every suffix, that one pass
+    is the whole LCP.
     """
     n = arr.size
     dtype = np.int32 if n < 2**31 else np.int64
     if n == 0:
         return np.zeros(0, dtype), np.zeros(0, dtype)
-    levels = []  # level j ranks each suffix by its first 2**j symbols
-    key = arr
-    while True:
-        sa = np.argsort(key)
-        sorted_key = key[sa]
-        sorted_rank = np.zeros(n, dtype)
-        np.cumsum(sorted_key[1:] != sorted_key[:-1], dtype=dtype, out=sorted_rank[1:])
-        rank = np.empty(n + 1, dtype)
-        rank[sa] = sorted_rank
-        rank[n] = -1  # the empty suffix ranks first
+    words, w, b = _packed_words(arr)
+    sa = np.argsort(words[:n]).astype(dtype)
+    sorted_words = words[sa]
+    # exact for neighbours in different word groups, w within one; rounds
+    # only reorder suffixes inside a group, so this stays true
+    common = _shared_symbols(sorted_words[:-1], sorted_words[1:], w, b).astype(dtype)
+    rank = np.empty(n + 1, dtype)
+    rank[n] = -1  # the empty suffix ranks first
+    tied = _regroup(rank, sa, np.arange(n, dtype=dtype), _run_heads(sorted_words))
+    del sorted_words
+    levels = []  # level j: group IDs by the first w * 2**j symbols
+    while tied.size:
         levels.append(rank)
-        if sorted_rank[-1] == n - 1:
-            break
-        h = 1 << (len(levels) - 1)
-        key = rank[:n].astype(np.int64)
-        key *= n + 1
-        key[: n - h] += rank[h:n] + 1
-    sa = sa.astype(dtype)
-    left, right = sa[:-1], sa[1:]
-    common = np.zeros(n - 1, dtype)
-    levels.pop()  # all distinct, so no two suffixes match at the top level
-    while levels:
-        level = levels.pop()
-        common[level[left + common] == level[right + common]] += 1 << len(levels)
+        rank = rank.copy()
+        tied = _double(sa, levels[-1], rank, tied, w << (len(levels) - 1))
+    if levels:
+        _lift(levels, sa, common, words, w, b)
     return rank[:n], np.concatenate((np.zeros(1, dtype), common))
 
 
@@ -219,18 +340,18 @@ def _repeat_reach(rank: np.ndarray, lcp: np.ndarray) -> np.ndarray:
     return np.maximum(lcp, np.append(lcp[1:], 0))[rank]
 
 
-def _kgram_classes(rank: np.ndarray, lcp: np.ndarray, k: int) -> np.ndarray:
-    """Per start position, a class ID of its k-gram.
+def _kgram_classes(lcp: np.ndarray, k: int) -> np.ndarray:
+    """Class ID of the k-gram of each suffix, by its place in sorted order.
 
-    Equal k-grams share an ID, and IDs ascend in the order of the k-grams.
-    Positions whose suffix is shorter than k get IDs of their own.
+    Equal k-grams share an ID, and IDs ascend in the order of the k-grams;
+    the k-gram at position i has the ID at place ``rank[i]``.  Suffixes
+    shorter than k get IDs of their own.
     """
-    return np.cumsum(lcp < k, dtype=lcp.dtype)[rank]
+    return np.cumsum(lcp < k, dtype=lcp.dtype)
 
 
 def _block_counts(ids: np.ndarray) -> np.ndarray:
-    """Occurrence counts of the distinct values in ``ids`` (nonempty)."""
-    ids = ids.copy()
+    """Occurrence counts of the distinct values in ``ids`` (nonempty), which it sorts."""
     ids.sort()
     run_start = np.empty(ids.size + 1, dtype=bool)
     run_start[0] = run_start[-1] = True
@@ -252,9 +373,11 @@ def _ref_floor(s_lb: int, p: int, cum_rank_len: np.ndarray) -> int:
 
 def _sweep(code: SymbolCode, rank: np.ndarray, lcp: np.ndarray, best: int,
            kmax: int | None):
-    """Cost and (k, l) of the cheapest parse costing less than ``best``.
+    """Cost of the cheapest parse costing less than ``best``, and the parse.
 
-    Returns ``(best, None)`` when no parse does.
+    The parse is ``(k, l, distinct, ids)``: its block length, phase, number
+    of distinct blocks and the k-gram class IDs of its blocks.  Returns
+    ``(best, None)`` when no parse costs less.
     """
     n = lcp.size
     fl = code.fixed_len
@@ -266,7 +389,7 @@ def _sweep(code: SymbolCode, rank: np.ndarray, lcp: np.ndarray, best: int,
     cum_rank_len = np.concatenate(([0], np.cumsum(rank_len)))
 
     dup_bound = n  # valid upper bound on the duplicate count for every k
-    best_kl = None
+    best_parse = None
     for k in range(1, kcap + 1):
         if (k + 1) * fl >= best:
             break
@@ -304,35 +427,32 @@ def _sweep(code: SymbolCode, rank: np.ndarray, lcp: np.ndarray, best: int,
             if lb >= best:
                 continue
             if classes is None:
-                classes = _kgram_classes(rank, lcp, k)
-            counts = _block_counts(classes[l : l + p * k : k])
+                classes = _kgram_classes(lcp, k)
+            places = rank[l : l + p * k : k]
+            counts = _block_counts(classes[places])
             cost = counts.size * (k + 1) * fl + (l + tail + 2) * fl
             if cost < best:
                 counts[::-1].sort()
                 cost += int(np.dot(counts, rank_len[: counts.size]))
             if cost < best:
                 best = cost
-                best_kl = (k, l)
-    return best, best_kl
+                best_parse = (k, l, counts.size, classes[places])
+    return best, best_parse
 
 
-def _build_block_grammar(arr: np.ndarray, code: SymbolCode, k: int, l: int,
-                         classes: np.ndarray):
-    """Materialize the ranked grammar for the winning (k, l) parse.
+def _build_block_grammar(arr: np.ndarray, m: int, k: int, l: int, ids: np.ndarray):
+    """Materialize the ranked grammar for the (k, l) parse of ``arr``.
 
-    ``classes`` are the k-gram class IDs of :func:`_kgram_classes`.  Blocks
-    are ranked by descending count, ties by ascending block, as in
-    :class:`RankedBlockTable`: ``np.unique`` lists the IDs in ascending
+    ``ids`` are the k-gram class IDs (:func:`_kgram_classes`) of the parse's
+    blocks.  Blocks are ranked by descending count, ties by ascending block,
+    as in :class:`RankedBlockTable`: ``np.unique`` lists the IDs in ascending
     order, which is block order, and a stable sort on the count keeps that
     order within a tie.
     """
     n = arr.size
-    m = code.m
-    p = (n - l) // k
-    tail = (n - l) - p * k
+    p = ids.size
     _, first, inverse, counts = np.unique(
-        classes[l : l + p * k : k], return_index=True, return_inverse=True,
-        return_counts=True,
+        ids, return_index=True, return_inverse=True, return_counts=True,
     )
     order = np.argsort(-counts, kind="stable")
     rank = np.empty_like(order)
@@ -340,7 +460,7 @@ def _build_block_grammar(arr: np.ndarray, code: SymbolCode, k: int, l: int,
     blocks = arr[l : l + p * k].reshape(p, k)[first[order]]
     primary = arr[:l].tolist() + (m + rank[inverse]).tolist() + arr[l + p * k :].tolist()
     g = DictionaryGrammar(m, tuple(map(tuple, blocks.tolist())) + (tuple(primary),))
-    return BlockGrammar(base=g, k=k, head_len=l, tail_len=tail)
+    return BlockGrammar(base=g, k=k, head_len=l, tail_len=n - l - p * k)
 
 
 def minimal_block_transform(code: SymbolCode, u, *, kmax: int | None = None) -> TransformResult:
@@ -355,20 +475,10 @@ def minimal_block_transform(code: SymbolCode, u, *, kmax: int | None = None) -> 
     if kmax is not None and kmax < 1:
         raise ValueError("kmax must be positive")
     rank, lcp = _suffix_index(arr)
-    best, best_kl = _sweep(code, rank, lcp, (n + 2) * code.fixed_len, kmax)
-    if best_kl is None:
-        g = DictionaryGrammar(code.m, (tuple(int(x) for x in arr),))
-        return TransformResult(grammar=g, code_bits=best, num_rules=1,
-                               block_len=0, shift=0)
-    k, l = best_kl
-    grammar = _build_block_grammar(arr, code, k, l, _kgram_classes(rank, lcp, k))
-    return TransformResult(
-        grammar=grammar,
-        code_bits=best,
-        num_rules=grammar.base.num_rules,
-        block_len=k,
-        shift=l,
-    )
+    best, parse = _sweep(code, rank, lcp, (n + 2) * code.fixed_len, kmax)
+    k, l, distinct, ids = parse or (0, 0, 0, None)
+    return TransformResult(code_bits=best, num_rules=distinct + 1, block_len=k, shift=l,
+                           m=code.m, _symbols=arr.copy(), _block_ids=ids)
 
 
 def encode(code: SymbolCode, u, *, kmax: int | None = None) -> BitString:

@@ -134,14 +134,14 @@ def test_sweep_deterministic_modulo_wall_time(tmp_path):
 
     def strip(records):
         return [
-            (r.source, r.n, r.k, r.shift, r.rules, r.block_len, r.code_bits,
+            (r.source, r.n, r.shift, r.rules, r.block_len, r.code_bits,
              round(r.bits_per_symbol, 9))
             for r in records
         ]
 
     assert strip(a) == strip(b)
     assert records_to_csv(a).splitlines()[0] == (
-        "source,n,k,shift,rules,block_len,code_bits,bits_per_symbol,wall_seconds"
+        "source,n,shift,rules,block_len,code_bits,bits_per_symbol,wall_seconds"
     )
 
 

@@ -1,5 +1,6 @@
 """Transform: parse costs, global optimality, round trips, determinism."""
 
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -19,6 +20,9 @@ from minblock import (
     grammar_code_length,
     minimal_block_transform,
 )
+from minblock import transform
+from minblock.analysis import mi_bound, pointwise_mi
+from minblock.cli import parse_source, run_sweep
 from minblock.grammar import symbol_dtype
 from minblock.transform import (
     _as_symbols,
@@ -156,13 +160,8 @@ def _indexed_strings(draw):
     return draw(st.lists(st.sampled_from(letters), max_size=300)), m
 
 
-@settings(max_examples=100, deadline=None)
-@given(_indexed_strings())
-@example(([], 2))
-@example(([7], 300))
-@example(([1] * 300, 2))
-def test_suffix_index_is_exact(case):
-    u, m = case
+def _assert_index_exact(u, m):
+    """The suffix index of ``u`` against naive suffix sorting, LCP and k-grams."""
     n = len(u)
     rank, lcp = _suffix_index(_as_symbols(u, m))
     sa = np.argsort(rank).tolist()
@@ -182,10 +181,105 @@ def test_suffix_index_is_exact(case):
         counts = Counter(grams)
         short = [False] * (n - len(grams))  # suffixes shorter than k
         assert (reach >= k).tolist() == [counts[g] >= 2 for g in grams] + short
-        classes = _kgram_classes(rank, lcp, k)[: len(grams)].tolist()
+        classes = _kgram_classes(lcp, k)[rank][: len(grams)].tolist()
         ordered = sorted(zip(classes, grams))
         for (c0, g0), (c1, g1) in zip(ordered, ordered[1:]):
             assert (c0 == c1) == (g0 == g1) and g0 <= g1
+    return lcp
+
+
+@settings(max_examples=100, deadline=None)
+@given(_indexed_strings())
+@example(([], 2))
+@example(([7], 300))
+@example(([1] * 300, 2))
+def test_suffix_index_is_exact(case):
+    _assert_index_exact(*case)
+
+
+@pytest.mark.parametrize(
+    "top", [1, 2, 3, 4, 7, 8, 15, 16, 255, 256, 65535, 65536, 2**32 - 1]
+)
+def test_suffix_index_at_packing_boundaries(top):
+    # the index packs w symbols of b = top.bit_length() bits into one 64-bit
+    # word; these inputs put the largest symbol, the longest repeat and the
+    # length at and around the edges of one word
+    w = max(2**j for j in range(7) if 2**j * top.bit_length() <= 64)
+    rng = np.random.Generator(np.random.Philox(top))
+    letters = sorted({1, max(top // 2, 1), max(top - 1, 1), top}, reverse=True)
+    m = max(top, 2)
+    for repeat in (w - 1, w, w + 1, 2 * w):
+        # a period of distinct symbols: the longest repeat is n minus the period
+        u = np.resize(letters, len(letters) + repeat).tolist()
+        assert int(_assert_index_exact(u, m).max()) == repeat
+    for n in (1, 2, w - 1, w, 3 * w + 1):
+        _assert_index_exact(rng.choice(letters, n).tolist(), m)
+
+
+def _pinned_batch():
+    """About 300 seeded strings: random, tiled and doubled, over six alphabets."""
+    rng = np.random.Generator(np.random.Philox(5))
+    alphabets = (2, 3, 27, 66, 300, 70000)
+    for i in range(300):
+        m = alphabets[i % 6]
+        kind = ("random", "tiled", "doubled")[i // 6 % 3]
+        # log-uniform lengths; doubled strings stay shorter, as their search
+        # counts O(n**2) phases
+        n = int(np.exp(rng.uniform(0, np.log(1000 if kind == "doubled" else 3000))))
+        letters = np.unique(np.append(rng.integers(1, m + 1, min(m, 8) - 1), m))
+
+        def draw(size):
+            return letters[rng.integers(0, letters.size, size)]
+
+        if kind == "random":
+            u = draw(n)
+        elif kind == "tiled":
+            u = np.resize(draw(int(rng.integers(1, min(n, 64) + 1))), n)
+        else:
+            half = draw(n // 2)
+            u = np.concatenate([half, half, draw(n % 2)])
+        yield u, m
+
+
+# SHA-256 of the "code_bits,k,l,num_rules" rows of _pinned_batch, one line
+# each, as computed before the word-packed suffix sort: a change to the
+# search must leave every row as it is
+PINNED_ROWS_SHA256 = "46a22e5d4fcf91dc1be1a89e4bd675f1b64b2c5e616b86ba208f136a1d11a649"
+
+
+def test_search_results_are_pinned():
+    rows = []
+    for u, m in _pinned_batch():
+        r = minimal_block_transform(SymbolCode(m), u)
+        rows.append(f"{r.code_bits},{r.block_len},{r.shift},{r.num_rules}")
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == PINNED_ROWS_SHA256
+
+
+def test_grammar_is_built_on_first_read():
+    rng = np.random.Generator(np.random.Philox(29))
+    code = SymbolCode(3)
+    for u in ([], [1, 2, 3], [1, 2] * 40, _random_string(rng, 3, 500)):
+        r = minimal_block_transform(code, u)
+        assert "grammar" not in vars(r)
+        g = r.dictionary
+        assert r.grammar is r.grammar
+        assert (r.num_rules, r.m, r.code_bits) == (
+            g.num_rules, g.m, grammar_code_length(code, g)
+        )
+
+
+def test_statistics_do_not_build_the_grammar(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the grammar was built")
+
+    monkeypatch.setattr(transform, "_build_block_grammar", refuse)
+    records = run_sweep([parse_source("bernoulli:0.5", seed=3)], [256, 1024])
+    assert all(r.block_len >= 1 for r in records)
+    code = SymbolCode(2)
+    x = np.resize([1, 2, 2, 1, 2], 600)
+    assert pointwise_mi(code, x[:250], x[250:]) <= mi_bound(minimal_block_transform(code, x))
+    with pytest.raises(AssertionError, match="grammar was built"):
+        minimal_block_transform(code, x).grammar
 
 
 def test_round_trip_small_batch():
@@ -275,13 +369,14 @@ def test_block_build_ranks_as_the_table(m, ks):
             piece = rng.integers(1, min(m, int(rng.choice([2, 3, m]))) + 1, 6 * k)
             u = np.concatenate([piece, rng.permutation(piece), piece[: 3 * k + 1]])
             arr = _as_symbols(u, m)
-            classes = _kgram_classes(*_suffix_index(arr), k)
+            rank, lcp = _suffix_index(arr)
+            classes = _kgram_classes(lcp, k)[rank]
             for l in range(k):
-                g = _build_block_grammar(arr, code, k, l, classes)
+                p = (len(u) - l) // k
+                g = _build_block_grammar(arr, m, k, l, classes[l : l + p * k : k])
                 table = RankedBlockTable.from_parse(u.tolist(), k, l)
                 assert g.base.rules[:-1] == tuple(block for block, _ in table.entries)
                 rank = {block: i for i, (block, _) in enumerate(table.entries, start=m + 1)}
-                p = (len(u) - l) // k
                 refs = [rank[tuple(u[l + i * k : l + (i + 1) * k].tolist())] for i in range(p)]
                 assert g.base.primary == tuple(u[:l].tolist() + refs + u[l + p * k :].tolist())
                 assert (g.head_len, g.tail_len) == (l, len(u) - l - p * k)
