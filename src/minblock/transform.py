@@ -174,8 +174,14 @@ def _as_symbols(u, m: int) -> np.ndarray:
 
 
 def _rank_length_table(jmax: int) -> np.ndarray:
-    """Vector of open-class codeword lengths for offsets 1..jmax."""
-    return rank_lengths(np.arange(1, max(jmax, 0) + 1))
+    """Vector of open-class codeword lengths for offsets 1..jmax.
+
+    The length is constant on each [2**t, 2**(t+1)), so the table is one run
+    of equal lengths per t.
+    """
+    jmax = max(jmax, 0)
+    starts = 1 << np.arange(jmax.bit_length())
+    return np.repeat(rank_lengths(starts), np.minimum(starts, jmax + 1 - starts))
 
 
 def _packed_words(arr: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -350,9 +356,8 @@ def _kgram_classes(lcp: np.ndarray, k: int) -> np.ndarray:
     return np.cumsum(lcp < k, dtype=lcp.dtype)
 
 
-def _block_counts(ids: np.ndarray) -> np.ndarray:
-    """Occurrence counts of the distinct values in ``ids`` (nonempty), which it sorts."""
-    ids.sort()
+def _run_lengths(ids: np.ndarray) -> np.ndarray:
+    """Lengths of the runs of equal values in the sorted ``ids`` (nonempty)."""
     run_start = np.empty(ids.size + 1, dtype=bool)
     run_start[0] = run_start[-1] = True
     np.not_equal(ids[1:], ids[:-1], out=run_start[1:-1])
@@ -428,15 +433,16 @@ def _sweep(code: SymbolCode, rank: np.ndarray, lcp: np.ndarray, best: int,
                 continue
             if classes is None:
                 classes = _kgram_classes(lcp, k)
-            places = rank[l : l + p * k : k]
-            counts = _block_counts(classes[places])
+            # IDs ascend with the place, so sorting places sorts the IDs and
+            # makes their gather sequential
+            counts = _run_lengths(classes[np.sort(rank[l : l + p * k : k])])
             cost = counts.size * (k + 1) * fl + (l + tail + 2) * fl
             if cost < best:
                 counts[::-1].sort()
                 cost += int(np.dot(counts, rank_len[: counts.size]))
             if cost < best:
                 best = cost
-                best_parse = (k, l, counts.size, classes[places])
+                best_parse = (k, l, counts.size, classes[rank[l : l + p * k : k]])
     return best, best_parse
 
 
