@@ -11,7 +11,11 @@ grammars producing the input.
 
 One suffix index of the input, built once, answers every question the
 sweep over (k, l) asks: a suffix array by prefix doubling and the longest
-common prefix (LCP) of each pair of neighbouring suffixes.
+common prefix (LCP) of each pair of neighbouring suffixes.  The doubling
+starts from 64-bit words that pack the first w symbols of every suffix, so
+one sort of the words replaces the first log2 w rounds; later rounds
+re-sort only the suffixes still tied with another, and the LCP below w is
+read off the highest bit in which two words differ.
 
 * A parse can only beat the terminal grammar if some block repeats, so k
   runs up to the longest repeated substring, the largest LCP.
@@ -22,12 +26,14 @@ common prefix (LCP) of each pair of neighbouring suffixes.
   bound is below the best cost so far.
 * Cutting the sorted suffixes wherever the LCP drops below k gives every
   k-gram a class ID, equal for equal k-grams and ascending in their order,
-  so the block counts of a phase come from sorting the IDs of its blocks.
+  so the block counts of a phase come from sorting the places of its
+  blocks in suffix order.
 * A block length is skipped outright when even one secondary rule would
   already cost more than the best grammar found so far.
 
 Every bound is exact or a true lower bound, so pruning never changes the
-result.
+result.  The search itself builds no grammar: the result keeps the winning
+parse and builds its grammar when it is first read.
 """
 
 from __future__ import annotations

@@ -362,15 +362,14 @@ def test_shift_and_runs_are_consistent():
 )
 def test_block_build_ranks_as_the_table(m, ks):
     rng = np.random.Generator(np.random.Philox(27))
-    code = SymbolCode(m)
     for k in ks:
         for _ in range(4):
             # few distinct symbols give repeated blocks and many equal counts
             piece = rng.integers(1, min(m, int(rng.choice([2, 3, m]))) + 1, 6 * k)
             u = np.concatenate([piece, rng.permutation(piece), piece[: 3 * k + 1]])
             arr = _as_symbols(u, m)
-            rank, lcp = _suffix_index(arr)
-            classes = _kgram_classes(lcp, k)[rank]
+            suffix_rank, lcp = _suffix_index(arr)
+            classes = _kgram_classes(lcp, k)[suffix_rank]
             for l in range(k):
                 p = (len(u) - l) // k
                 g = _build_block_grammar(arr, m, k, l, classes[l : l + p * k : k])
