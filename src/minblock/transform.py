@@ -495,8 +495,10 @@ def minimal_block_transform(code: SymbolCode, u, *, kmax: int | None = None) -> 
 
 def encode(code: SymbolCode, u, *, kmax: int | None = None) -> BitString:
     """Binary code of ``u``: the emission of its cheapest block grammar."""
-    result = minimal_block_transform(code, u, kmax=kmax)
-    return encode_grammar(code, result.dictionary)
+    # the result, with the copy of u it builds the grammar from, is freed
+    # before the emission runs
+    grammar = minimal_block_transform(code, u, kmax=kmax).dictionary
+    return encode_grammar(code, grammar)
 
 
 def decode(code: SymbolCode, bits: BitString, *, max_len: int | None = None) -> np.ndarray:
