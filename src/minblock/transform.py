@@ -362,12 +362,12 @@ def _kgram_classes(lcp: np.ndarray, k: int) -> np.ndarray:
     return np.cumsum(lcp < k, dtype=lcp.dtype)
 
 
-def _run_lengths(ids: np.ndarray) -> np.ndarray:
-    """Lengths of the runs of equal values in the sorted ``ids`` (nonempty)."""
-    run_start = np.empty(ids.size + 1, dtype=bool)
-    run_start[0] = run_start[-1] = True
-    np.not_equal(ids[1:], ids[:-1], out=run_start[1:-1])
-    bounds = run_start.nonzero()[0]
+def _run_lengths(change: np.ndarray) -> np.ndarray:
+    """Lengths of the runs of equal values in a sorted array ``a``.
+
+    ``change`` is ``a[1:] != a[:-1]``.
+    """
+    bounds = np.flatnonzero(np.concatenate(([True], change, [True])))
     return bounds[1:] - bounds[:-1]
 
 
@@ -441,14 +441,20 @@ def _sweep(code: SymbolCode, rank: np.ndarray, lcp: np.ndarray, best: int,
                 classes = _kgram_classes(lcp, k)
             # IDs ascend with the place, so sorting places sorts the IDs and
             # makes their gather sequential
-            counts = _run_lengths(classes[np.sort(rank[l : l + p * k : k])])
-            cost = counts.size * (k + 1) * fl + (l + tail + 2) * fl
-            if cost < best:
-                counts[::-1].sort()
-                cost += int(np.dot(counts, rank_len[: counts.size]))
+            places = rank[l : l + p * k : k].copy()
+            places.sort()
+            ids = classes[places]
+            change = ids[1:] != ids[:-1]
+            distinct = 1 + int(np.count_nonzero(change))
+            cost = distinct * (k + 1) * fl + (l + tail + 2) * fl
+            if cost >= best:
+                continue
+            counts = _run_lengths(change)
+            counts[::-1].sort()
+            cost += int(np.dot(counts, rank_len[:distinct]))
             if cost < best:
                 best = cost
-                best_parse = (k, l, counts.size, classes[rank[l : l + p * k : k]])
+                best_parse = (k, l, distinct, classes[rank[l : l + p * k : k]])
     return best, best_parse
 
 
