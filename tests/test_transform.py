@@ -217,7 +217,7 @@ def test_suffix_index_at_packing_boundaries(top):
 
 
 def _pinned_batch():
-    """About 300 seeded strings: random, tiled and doubled, over six alphabets."""
+    """300 seeded strings: random, tiled and doubled, over six alphabets."""
     rng = np.random.Generator(np.random.Philox(5))
     alphabets = (2, 3, 27, 66, 300, 70000)
     for i in range(300):
