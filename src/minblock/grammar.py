@@ -7,19 +7,24 @@ primary rule; expanding its symbol produces the grammar's output string.
 
 The grammar is serialized rule by rule with the code of
 :mod:`minblock.codes`: each rule is the codewords of its symbols followed by
-the separator 0, and the whole grammar ends with the terminator -1.  The
-emitter, the parser and the expansion work on flat numpy arrays: all rule
-bodies concatenated, with rule offsets.  ``encode_symbol`` and
-``decode_symbol`` remain the single-codeword definition of the code; the
-array paths produce and accept exactly the same bits, and the parser raises
-the same error class ``decode_symbol`` would at the first bad codeword.
+the separator 0, and the whole grammar ends with the terminator -1.
+
+A grammar is stored as two read-only int64 arrays: all rule bodies laid end
+to end, and the offsets where each rule starts.  The block build, the shape
+checks, the emitter, the code length, the parser and the expansion all read
+and write these arrays; the tuples of ``DictionaryGrammar.rules`` are built
+only when a caller reads them.  ``encode_symbol`` and ``decode_symbol``
+remain the single-codeword definition of the code; the array paths produce
+and accept exactly the same bits, and the parser raises the same error class
+``decode_symbol`` would at the first bad codeword.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -30,7 +35,6 @@ from .codes import (
     decode_symbol,
     rank_length,
     rank_lengths,
-    symbol_length,
 )
 
 Rule = tuple[int, ...]
@@ -50,40 +54,111 @@ def symbol_dtype(m: int):
     raise ValueError(f"alphabet size {m} is above 2**32 - 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class DictionaryGrammar:
-    """Rule table; rule i defines symbol m+i, the last rule is primary."""
+    """Rule table; rule i defines symbol m+i, the last rule is primary.
+
+    ``symbols`` holds all rule bodies laid end to end as one int64 array,
+    and rule i (from 0) is ``symbols[offsets[i]:offsets[i + 1]]``.  Both
+    arrays are read-only.  ``DictionaryGrammar(m, rules)`` takes the rules
+    as sequences of ints; :meth:`from_arrays` takes the two arrays as they
+    are, without copying them.  Both check the same rules and raise the same
+    ``ValueError``: m is at least 1, there is at least a primary rule, and
+    every element of rule i lies in 1..m+i-1.  ``rules`` is the table as
+    tuples of ints; it is built from the arrays the first time it is read
+    (a grammar made from tuples keeps those).  Equal grammars have equal m
+    and equal arrays, and hash alike.
+    """
 
     m: int
-    rules: tuple[Rule, ...]
+    symbols: np.ndarray
+    offsets: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError("alphabet size must be at least 1")
-        rules = tuple(tuple(map(int, rule)) for rule in self.rules)
+    def __init__(self, m: int, rules) -> None:
+        rules = tuple(tuple(map(int, rule)) for rule in rules)
+        offsets = np.fromiter(accumulate(map(len, rules), initial=0), dtype=np.int64,
+                              count=len(rules) + 1)
+        try:
+            symbols = np.fromiter(chain.from_iterable(rules), dtype=np.int64,
+                                  count=int(offsets[-1]))
+        except OverflowError:  # beyond int64: out of range, found by the check
+            symbols = None
         object.__setattr__(self, "rules", rules)
-        if not rules:
+        self._store(m, symbols, offsets)
+
+    @classmethod
+    def from_arrays(cls, m: int, symbols, offsets) -> "DictionaryGrammar":
+        """Grammar whose rule i is ``symbols[offsets[i]:offsets[i + 1]]``.
+
+        The grammar keeps read-only views of the arrays (converted to int64
+        only if they are not already), so the caller must not write to them
+        afterwards.  ``offsets`` must rise from 0 to ``symbols.size``.
+        """
+        symbols = np.asarray(symbols, dtype=np.int64)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        if not (symbols.ndim == offsets.ndim == 1 and offsets.size
+                and offsets[0] == 0 and offsets[-1] == symbols.size
+                and (offsets[1:] >= offsets[:-1]).all()):
+            raise ValueError("rule offsets must rise from 0 to the number of symbols")
+        g = cls.__new__(cls)
+        g._store(m, symbols, offsets)
+        return g
+
+    def _store(self, m: int, symbols: np.ndarray | None, offsets: np.ndarray) -> None:
+        """Check the table and keep read-only views of its arrays.
+
+        ``symbols`` is None when an element does not fit in int64.
+        """
+        m = int(m)
+        if m < 1:
+            raise ValueError("alphabet size must be at least 1")
+        if offsets.size < 2:
             raise ValueError("a grammar needs at least a primary rule")
-        for i, rule in enumerate(rules, start=1):
-            sym = self.m + i
-            if rule and (min(rule) < 1 or max(rule) >= sym):
-                e = next(e for e in rule if not 1 <= e < sym)
-                raise ValueError(
-                    f"rule for symbol {sym} references {e}; "
-                    "elements must be in 1..symbol-1"
-                )
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "offsets", offsets.view())
+        self.offsets.flags.writeable = False
+        # every element is at least 1 and each nonempty rule's largest is below
+        # its symbol; only a table that fails is searched, in reading order,
+        # for the element to report
+        full = np.flatnonzero(offsets[1:] > offsets[:-1])
+        if symbols is None or full.size and (
+            symbols.min() < 1 or (np.maximum.reduceat(symbols, offsets[full]) > m + full).any()
+        ):
+            object.__setattr__(self, "symbols", symbols)
+            sym, e = next((sym, e) for sym, rule in enumerate(self.rules, start=m + 1)
+                          for e in rule if not 1 <= e < sym)
+            raise ValueError(
+                f"rule for symbol {sym} references {e}; elements must be in 1..symbol-1"
+            )
+        object.__setattr__(self, "symbols", symbols.view())
+        self.symbols.flags.writeable = False
+
+    @cached_property
+    def rules(self) -> tuple[Rule, ...]:
+        flat = self.symbols.tolist()
+        bounds = self.offsets.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DictionaryGrammar):
+            return NotImplemented
+        return (self.m == other.m and np.array_equal(self.offsets, other.offsets)
+                and np.array_equal(self.symbols, other.symbols))
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.offsets.tobytes(), self.symbols.tobytes()))
 
     @property
     def num_rules(self) -> int:
-        return len(self.rules)
+        return self.offsets.size - 1
 
     @property
     def primary_symbol(self) -> int:
-        return self.m + len(self.rules)
+        return self.m + self.num_rules
 
     @property
     def primary(self) -> Rule:
-        return self.rules[-1]
+        return tuple(self.symbols[self.offsets[-2] :].tolist())
 
 
 @dataclass(frozen=True)
@@ -92,6 +167,7 @@ class BlockGrammar:
 
     The primary rule is ``head_len`` terminals, then rule references, then
     ``tail_len`` terminals, with both runs shorter than the block length.
+    The shape is checked on the arrays of ``base``.
     """
 
     base: DictionaryGrammar
@@ -101,24 +177,28 @@ class BlockGrammar:
 
     def __post_init__(self) -> None:
         g = self.base
+        m = g.m
         if self.k < 1:
             raise ValueError("block length must be >= 1")
         if not (0 <= self.head_len < self.k and 0 <= self.tail_len < self.k):
             raise ValueError("terminal runs must be shorter than the block length")
-        for i, rule in enumerate(g.rules[:-1], start=1):
-            if len(rule) != self.k or max(rule) > g.m:
-                raise ValueError(f"secondary rule {i} is not a terminal {self.k}-block")
-        prim = g.primary
-        if len(prim) < self.head_len + self.tail_len:
+        secondary = g.symbols[: g.offsets[-2]]
+        sizes = g.offsets[1:-1] - g.offsets[:-2]
+        if (sizes != self.k).any() or secondary.size and secondary.max() > m:
+            i = next(i for i, rule in enumerate(g.rules[:-1], start=1)
+                     if len(rule) != self.k or max(rule) > m)
+            raise ValueError(f"secondary rule {i} is not a terminal {self.k}-block")
+        prim = g.symbols[g.offsets[-2] :]
+        if prim.size < self.head_len + self.tail_len:
             raise ValueError("primary rule shorter than its terminal runs")
         head = prim[: self.head_len]
-        tail = prim[len(prim) - self.tail_len :]
-        mid = prim[self.head_len : len(prim) - self.tail_len]
-        if head and max(head) > g.m:
+        tail = prim[prim.size - self.tail_len :]
+        mid = prim[self.head_len : prim.size - self.tail_len]
+        if head.size and head.max() > m:
             raise ValueError("head run contains a nonterminal")
-        if tail and max(tail) > g.m:
+        if tail.size and tail.max() > m:
             raise ValueError("tail run contains a nonterminal")
-        if mid and min(mid) <= g.m:
+        if mid.size and mid.min() <= m:
             raise ValueError("terminal inside the reference run")
 
     @property
@@ -132,34 +212,23 @@ class BlockGrammar:
 
 def is_block_shaped(g: DictionaryGrammar) -> bool:
     """True if ``g`` fits the block shape (or is a bare terminal primary)."""
-    secondary = g.rules[:-1]
-    prim = g.primary
-    if not secondary:
-        return not prim or max(prim) <= g.m
-    k = len(secondary[0])
-    if k < 1 or any(len(r) != k or max(r) > g.m for r in secondary):
+    m = g.m
+    prim = g.symbols[g.offsets[-2] :]
+    nonterminal = prim > m
+    if g.num_rules == 1:
+        return not nonterminal.any()
+    sizes = g.offsets[1:-1] - g.offsets[:-2]
+    k = int(sizes[0])
+    if k < 1 or (sizes != k).any() or g.symbols[: g.offsets[-2]].max() > m:
         return False
-    if not prim or max(prim) <= g.m:
+    if not nonterminal.any():
         # nothing but terminal runs; they must split into head and tail < k
-        return len(prim) <= 2 * (k - 1)
-    head = 0
-    while prim[head] <= g.m:
-        head += 1
-    tail = 0
-    while prim[len(prim) - 1 - tail] <= g.m:
-        tail += 1
+        return prim.size <= 2 * (k - 1)
+    head = int(nonterminal.argmax())
+    tail = int(nonterminal[::-1].argmax())
     if head >= k or tail >= k:
         return False
-    return min(prim[head : len(prim) - tail]) > g.m
-
-
-def _flatten(rules) -> tuple[np.ndarray, np.ndarray]:
-    """All rule bodies in one int64 array, and the offsets of the rules in it."""
-    offsets = np.zeros(len(rules) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, rules), dtype=np.int64, count=len(rules)),
-              out=offsets[1:])
-    flat = np.fromiter(chain.from_iterable(rules), dtype=np.int64, count=int(offsets[-1]))
-    return flat, offsets
+    return bool(nonterminal[head : prim.size - tail].all())
 
 
 def _rule_lengths(m: int, flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -183,17 +252,18 @@ def _rule_lengths(m: int, flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return lengths
 
 
-def _skip_unary(m: int, flat: np.ndarray, offsets: np.ndarray, r: int) -> int:
+def _skip_unary(m: int, flat: np.ndarray, offsets: np.ndarray,
+                r: int) -> tuple[np.ndarray, int]:
     """Cite what each one-element rule stands for instead of the rule itself.
 
     A rule of one element stands for that element, and any other rule for
     its own symbol.  Chains of one-element rules are followed by pointer
     doubling, so a chain of d rules takes about log2(d) array passes.
-    ``flat`` is rewritten in place; returns the symbol ``r`` stands for.
+    Returns ``flat`` so rewritten (a copy) and the symbol ``r`` stands for.
     """
     unary = np.flatnonzero(offsets[1:] - offsets[:-1] == 1)
     if not unary.size:
-        return r
+        return flat, r
     alias = np.arange(m + 1, m + offsets.size, dtype=np.int64)
     alias[unary] = flat[offsets[unary]]
     while True:
@@ -203,9 +273,10 @@ def _skip_unary(m: int, flat: np.ndarray, offsets: np.ndarray, r: int) -> int:
         if np.array_equal(step, alias):
             break
         alias = step
+    flat = flat.copy()
     cited = flat > m
     flat[cited] = alias[flat[cited] - (m + 1)]
-    return int(alias[r - m - 1])
+    return flat, int(alias[r - m - 1])
 
 
 def expand(g: DictionaryGrammar, r: int, max_len: int | None = None) -> np.ndarray:
@@ -231,7 +302,8 @@ def expand(g: DictionaryGrammar, r: int, max_len: int | None = None) -> np.ndarr
     dtype = symbol_dtype(m)
     if r <= m:
         return np.array([r], dtype=dtype)
-    flat, offsets = _flatten(g.rules[: r - m])
+    offsets = g.offsets[: r - m + 1]
+    flat = g.symbols[: offsets[-1]]
     lengths = _rule_lengths(m, flat, offsets)
     total = int(lengths[-1])
     if max_len is not None and total > max_len:
@@ -251,7 +323,7 @@ def expand(g: DictionaryGrammar, r: int, max_len: int | None = None) -> np.ndarr
         np.cumsum(keep, out=kept[1:])
         offsets = kept[offsets]
         flat, size = flat[keep], size[keep]
-    root = _skip_unary(m, flat, offsets, r)
+    flat, root = _skip_unary(m, flat, offsets, r)
     # where each element's expansion starts within the rules laid end to end;
     # the int64 sums wrap only past rules longer than the output, which no
     # rule reachable from r is, so the differences taken below are exact
@@ -320,8 +392,7 @@ def encode_grammar(code: SymbolCode, g: DictionaryGrammar) -> BitString:
     if code.m != g.m:
         raise ValueError("code and grammar disagree on the alphabet size")
     m = code.m
-    flat, offsets = _flatten(g.rules)
-    syms = np.append(np.insert(flat, offsets[1:], 0), -1)
+    syms = np.append(np.insert(g.symbols, g.offsets[1:], 0), -1)
     values = (syms + 1).astype(np.uint64)
     widths = np.full(syms.size, code.fixed_len, dtype=np.int64)
     (delta,) = np.nonzero(syms > m)
@@ -340,16 +411,16 @@ def encode_grammar(code: SymbolCode, g: DictionaryGrammar) -> BitString:
 
 
 def grammar_code_length(code: SymbolCode, g: DictionaryGrammar) -> int:
-    """Exact bit length of :func:`encode_grammar` without building bits."""
+    """Exact bit length of :func:`encode_grammar` without building bits.
+
+    Every terminal, separator and the terminator take ``fixed_len`` bits, and
+    a rule reference m + j the ``rank_length(j)`` bits of its delta code.
+    """
     if code.m != g.m:
         raise ValueError("code and grammar disagree on the alphabet size")
-    fl = code.fixed_len
-    total = fl  # trailing terminator
-    for rule in g.rules:
-        total += fl  # rule separator
-        for e in rule:
-            total += symbol_length(code, e)
-    return total
+    refs = g.symbols[g.symbols > g.m] - g.m
+    fixed = g.symbols.size - refs.size + g.num_rules + 1
+    return fixed * code.fixed_len + int(rank_lengths(refs).sum())
 
 
 def _delta_lengths() -> np.ndarray:
@@ -510,7 +581,8 @@ def decode_grammar(code: SymbolCode, bits: BitString | BitReader) -> DictionaryG
 
     symbols = value[:stop] - 1
     symbols[~fixed[:stop]] = m + j
-    flat = symbols.tolist()
-    ends = np.flatnonzero(sep).tolist()
-    rules = tuple(tuple(flat[a:b]) for a, b in zip([0] + [e + 1 for e in ends], ends))
-    return DictionaryGrammar(m, rules)
+    # rule i ends at the i-th separator, after all but i of the codewords before it
+    ends = np.flatnonzero(sep)
+    offsets = np.zeros(ends.size + 1, dtype=np.int64)
+    offsets[1:] = ends - np.arange(ends.size)
+    return DictionaryGrammar.from_arrays(m, symbols[~sep], offsets)

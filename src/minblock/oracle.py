@@ -35,12 +35,20 @@ class EnumerationBudget:
 def encode_by_codeword(code: SymbolCode, g: DictionaryGrammar) -> BitString:
     """Reference emitter: ``encode_symbol`` once per symbol.
 
-    Bit for bit what ``encode_grammar`` emits, one codeword at a time.  It is
-    also much faster than ``encode_grammar`` on the tiny grammars enumerated
-    here, which pay numpy's fixed cost per call.
+    Bit for bit what ``encode_grammar`` emits, one codeword at a time.
+    """
+    return _encode_rules(code, g.rules)
+
+
+def _encode_rules(code: SymbolCode, rules) -> BitString:
+    """:func:`encode_by_codeword` of a rule table, taken as valid unchecked.
+
+    The enumeration scores its tables, valid by construction, with this
+    directly: checking each as a :class:`DictionaryGrammar` costs numpy's
+    fixed cost per table.
     """
     out = BitString()
-    for rule in g.rules:
+    for rule in rules:
         for e in rule:
             encode_symbol(code, e, out)
         encode_symbol(code, 0, out)
@@ -48,13 +56,13 @@ def encode_by_codeword(code: SymbolCode, g: DictionaryGrammar) -> BitString:
     return out
 
 
-def _assignment_grammar(m: int, head, blocks, occ_index, tail, perm) -> DictionaryGrammar:
-    """Grammar giving block j the identifier m+1+perm[j]."""
+def _assignment_rules(m: int, head, blocks, occ_index, tail, perm) -> tuple:
+    """Rules of the grammar giving block j the identifier m+1+perm[j]."""
     rules: list[tuple[int, ...]] = [()] * len(blocks)
     for j, block in enumerate(blocks):
         rules[perm[j]] = block
     primary = tuple(head) + tuple(m + 1 + perm[j] for j in occ_index) + tuple(tail)
-    return DictionaryGrammar(m, tuple(rules) + (primary,))
+    return tuple(rules) + (primary,)
 
 
 def brute_force_min_block(code: SymbolCode, u, budget: EnumerationBudget | None = None) -> int:
@@ -62,8 +70,8 @@ def brute_force_min_block(code: SymbolCode, u, budget: EnumerationBudget | None 
 
     Enumerates every block length, phase, and identifier permutation, plus
     the bare terminal grammar, and scores each candidate by materializing
-    its bits with :func:`encode_by_codeword` (deliberately not reusing any
-    closed form from the fast path).
+    its bits codeword by codeword, as :func:`encode_by_codeword` does
+    (deliberately not reusing any closed form from the fast path).
     """
     if budget is None:
         budget = EnumerationBudget()
@@ -89,8 +97,8 @@ def brute_force_min_block(code: SymbolCode, u, budget: EnumerationBudget | None 
                 )
             occ_index = [blocks.index(b) for b in parsed]
             for perm in itertools.permutations(range(len(blocks))):
-                g = _assignment_grammar(m, head, blocks, occ_index, tail, perm)
-                best = min(best, len(encode_by_codeword(code, g)))
+                rules = _assignment_rules(m, head, blocks, occ_index, tail, perm)
+                best = min(best, len(_encode_rules(code, rules)))
     return best
 
 

@@ -24,6 +24,12 @@ read off the highest bit in which two words differ.
   occurs once contribute pairwise-distinct singleton blocks, which yields a
   per-phase lower bound on the parse cost; a phase is counted only when its
   bound is below the best cost so far.
+* The positions are sorted once, with a radix sort, by their reach: the
+  longest prefix of their suffix that occurs twice, clipped above the
+  longest block length examined.  For each k the positions whose k-gram
+  repeats are then one end of that order.  Their exact count prices the
+  whole block length before any pass over the input, and their number per
+  phase is binned mod k from whichever end of the order is smaller.
 * Cutting the sorted suffixes wherever the LCP drops below k gives every
   k-gram a class ID, equal for equal k-grams and ascending in their order,
   so the block counts of a phase come from sorting the places of its
@@ -32,8 +38,9 @@ read off the highest bit in which two words differ.
   already cost more than the best grammar found so far.
 
 Every bound is exact or a true lower bound, so pruning never changes the
-result.  The search itself builds no grammar: the result keeps the winning
-parse and builds its grammar when it is first read.
+result.  The search itself builds no grammar: it gathers the class IDs of
+the winning parse once, after the sweep, and the result builds its grammar
+from them when it is first read.
 """
 
 from __future__ import annotations
@@ -132,7 +139,8 @@ class TransformResult:
     @cached_property
     def grammar(self) -> BlockGrammar | DictionaryGrammar:
         if self._block_ids is None:
-            return DictionaryGrammar(self.m, (tuple(self._symbols.tolist()),))
+            arr = self._symbols
+            return DictionaryGrammar.from_arrays(self.m, arr.astype(np.int64), [0, arr.size])
         return _build_block_grammar(self._symbols, self.m, self.block_len, self.shift,
                                     self._block_ids)
 
@@ -352,6 +360,36 @@ def _repeat_reach(rank: np.ndarray, lcp: np.ndarray) -> np.ndarray:
     return np.maximum(lcp, np.append(lcp[1:], 0))[rank]
 
 
+def _reach_order(reach: np.ndarray, kcap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in ascending order of their reach, and where each reach starts.
+
+    The reach is clipped to ``kcap + 1``, which keeps every k <= kcap apart,
+    and stored in the narrowest unsigned type that holds that, so the stable
+    sort is a radix sort.  Returns ``(order, below)``: ``below[k - 1]``
+    positions have reach < k, so ``order[below[k - 1]:]`` are the positions
+    whose k-gram occurs twice or more.
+    """
+    dtype = np.uint8 if kcap < 255 else np.uint16 if kcap < 65535 else reach.dtype
+    clipped = np.minimum(reach, kcap + 1).astype(dtype)
+    order = np.argsort(clipped, kind="stable").astype(reach.dtype)
+    below = np.cumsum(np.bincount(clipped, minlength=kcap + 2))
+    return order, below
+
+
+def _phase_duplicates(order: np.ndarray, edge: int, k: int) -> np.ndarray:
+    """Per phase l < k, how many positions i = l (mod k) have reach >= k.
+
+    ``order[edge:]`` are the positions with reach >= k (:func:`_reach_order`).
+    The smaller of the two sides is binned mod k; when that is the side of
+    reach < k, its counts are taken from the ceil((n - l) / k) positions of
+    each phase.
+    """
+    n = order.size
+    if n - edge <= edge:
+        return np.bincount(order[edge:] % k, minlength=k)
+    return (n - np.arange(k) + k - 1) // k - np.bincount(order[:edge] % k, minlength=k)
+
+
 def _kgram_classes(lcp: np.ndarray, k: int) -> np.ndarray:
     """Class ID of the k-gram of each suffix, by its place in sorted order.
 
@@ -395,21 +433,24 @@ def _sweep(code: SymbolCode, rank: np.ndarray, lcp: np.ndarray, best: int,
     kcap = int(lcp.max(initial=0))  # the longest repeat: no longer block repeats
     if kmax is not None:
         kcap = min(kcap, kmax)
-    reach = _repeat_reach(rank, lcp)
+    if kcap < 1:
+        return best, None
+    order, below = _reach_order(_repeat_reach(rank, lcp), kcap)
     rank_len = _rank_length_table(n)
     cum_rank_len = np.concatenate(([0], np.cumsum(rank_len)))
 
-    dup_bound = n  # valid upper bound on the duplicate count for every k
     best_parse = None
     for k in range(1, kcap + 1):
         if (k + 1) * fl >= best:
             break
         p_hi = n // k
+        edge = int(below[k - 1])
+        dups = n - edge  # positions whose k-gram occurs twice or more
 
-        # cheapest conceivable cost for this k given the stale duplicate bound
+        # cheapest conceivable cost for this k given its duplicate count
         skip = True
         for p in {p_hi, max(p_hi - 1, 1)}:
-            s_lb = max(0, p - dup_bound)
+            s_lb = max(0, p - dups)
             lb = (
                 max(1, s_lb) * (k + 1) * fl
                 + (n - p * k + 2) * fl
@@ -421,9 +462,7 @@ def _sweep(code: SymbolCode, rank: np.ndarray, lcp: np.ndarray, best: int,
         if skip:
             continue
 
-        starts = np.flatnonzero(reach >= k)
-        dup_bound = starts.size  # duplicates can only vanish as k grows
-        per_shift = np.bincount(starts % k, minlength=k)
+        per_shift = _phase_duplicates(order, edge, k)
 
         classes = None
         for l in range(0, min(k, n - k + 1)):
@@ -454,30 +493,42 @@ def _sweep(code: SymbolCode, rank: np.ndarray, lcp: np.ndarray, best: int,
             cost += int(np.dot(counts, rank_len[:distinct]))
             if cost < best:
                 best = cost
-                best_parse = (k, l, distinct, classes[rank[l : l + p * k : k]])
-    return best, best_parse
+                best_parse = (k, l, distinct)
+    if best_parse is None:
+        return best, None
+    k, l, distinct = best_parse
+    p = (n - l) // k
+    return best, (k, l, distinct, _kgram_classes(lcp, k)[rank[l : l + p * k : k]])
 
 
 def _build_block_grammar(arr: np.ndarray, m: int, k: int, l: int, ids: np.ndarray):
     """Materialize the ranked grammar for the (k, l) parse of ``arr``.
 
     ``ids`` are the k-gram class IDs (:func:`_kgram_classes`) of the parse's
-    blocks.  Blocks are ranked by descending count, ties by ascending block,
-    as in :class:`RankedBlockTable`: ``np.unique`` lists the IDs in ascending
-    order, which is block order, and a stable sort on the count keeps that
-    order within a tie.
+    blocks, which are below n + 1.  Blocks are ranked by descending count,
+    ties by ascending block, as in :class:`RankedBlockTable`: the IDs ascend
+    in block order, and a stable sort on the count keeps that order within a
+    tie.
     """
     n = arr.size
     p = ids.size
-    _, first, inverse, counts = np.unique(
-        ids, return_index=True, return_inverse=True, return_counts=True,
-    )
-    order = np.argsort(-counts, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(1, order.size + 1)
-    blocks = arr[l : l + p * k].reshape(p, k)[first[order]]
-    primary = arr[:l].tolist() + (m + rank[inverse]).tolist() + arr[l + p * k :].tolist()
-    g = DictionaryGrammar(m, tuple(map(tuple, blocks.tolist())) + (tuple(primary),))
+    counts = np.bincount(ids)
+    present = np.flatnonzero(counts)
+    ranked = present[np.argsort(-counts[present], kind="stable")]
+    d = ranked.size
+    ref = np.zeros(counts.size, dtype=np.int64)  # the symbol of each ID's rule
+    ref[ranked] = np.arange(m + 1, m + 1 + d)
+    block_at = np.empty(counts.size, dtype=np.int64)  # one block with each ID
+    block_at[ids] = np.arange(p)
+    # the d blocks in rank order, then the primary: head, references, tail
+    symbols = np.empty(d * k + n - p * k + p, dtype=np.int64)
+    symbols[: d * k] = arr[l : l + p * k].reshape(p, k)[block_at[ranked]].ravel()
+    primary = symbols[d * k :]
+    primary[:l] = arr[:l]
+    primary[l : l + p] = ref[ids]
+    primary[l + p :] = arr[l + p * k :]
+    offsets = np.append(np.arange(0, d * k + 1, k), symbols.size)
+    g = DictionaryGrammar.from_arrays(m, symbols, offsets)
     return BlockGrammar(base=g, k=k, head_len=l, tail_len=n - l - p * k)
 
 

@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from minblock import (
@@ -27,6 +27,8 @@ from minblock import (
 )
 from minblock.grammar import symbol_dtype
 from minblock.oracle import encode_by_codeword
+
+from reference import block_shape_error, is_block_shaped_by_rule
 
 
 def random_grammar(rng, m=None, num_rules=None, cite=None) -> DictionaryGrammar:
@@ -127,6 +129,70 @@ def test_invariant_validation():
         DictionaryGrammar(2, ((1, 2), (5,)))  # forward reference
     with pytest.raises(ValueError):
         DictionaryGrammar(2, ((0,),))  # symbols start at 1
+
+
+def test_array_and_tuple_grammars_are_equal():
+    rng = np.random.Generator(np.random.Philox(14))
+    for _ in range(200):
+        g = random_grammar(rng, int(rng.choice(ALPHABETS)), int(rng.integers(1, 12)), cite=0.5)
+        h = DictionaryGrammar.from_arrays(g.m, g.symbols.copy(), g.offsets.copy())
+        assert h == g and hash(h) == hash(g)
+        assert h.rules == g.rules  # built from the arrays
+        assert DictionaryGrammar(h.m, h.rules) == h
+        assert h.primary == g.rules[-1] and h.num_rules == len(g.rules)
+        for arr in (h.symbols, h.offsets, g.symbols, g.offsets):
+            assert arr.dtype == np.int64
+            with pytest.raises(ValueError):
+                arr[:1] = 1  # read-only
+    g = DictionaryGrammar(2, ((1, 2), (3,)))
+    assert g != DictionaryGrammar(3, ((1, 2), (3,)))  # m differs
+    assert g != DictionaryGrammar(2, ((1,), (2, 3)))  # offsets differ
+    assert g != DictionaryGrammar(2, ((1, 2), (2,)))  # symbols differ
+    assert g != ((1, 2), (3,))
+    assert len({g, DictionaryGrammar.from_arrays(2, [1, 2, 3], [0, 2, 3])}) == 1
+    bg = BlockGrammar(base=DictionaryGrammar(2, ((1, 2), (3, 3))), k=2, head_len=0, tail_len=0)
+    assert hash(bg) == hash(BlockGrammar(
+        base=DictionaryGrammar.from_arrays(2, [1, 2, 3, 3], [0, 2, 4]), k=2, head_len=0,
+        tail_len=0,
+    ))
+
+
+@pytest.mark.parametrize(
+    "m, rules",
+    [
+        (2, ((0,),)),  # symbols start at 1
+        (2, ((1, 2), (2, -3))),  # negative
+        (2, ((1, 2), (4,))),  # rule references its own symbol
+        (2, ((1, 2), (1, 5))),  # forward reference
+        (2, ((1, 2), (), (1, 0, 7))),  # the first bad element is reported
+        (2, ()),  # no primary rule
+        (0, ((1,),)),  # no alphabet
+    ],
+)
+def test_both_constructors_reject_the_same_tables(m, rules):
+    with pytest.raises(ValueError) as from_tuples:
+        DictionaryGrammar(m, rules)
+    lengths = [len(rule) for rule in rules]
+    with pytest.raises(ValueError) as from_arrays:
+        DictionaryGrammar.from_arrays(
+            m, [e for rule in rules for e in rule], np.cumsum([0] + lengths)
+        )
+    assert str(from_arrays.value) == str(from_tuples.value)
+
+
+def test_constructors_reject_what_no_array_holds():
+    # an element beyond int64 is reported as out of range, like any other
+    with pytest.raises(ValueError, match=f"references {2**70}"):
+        DictionaryGrammar(2, ((1, 2), (2**70,)))
+    for symbols, offsets in (
+        ([1, 2], [0, 1]),  # offsets end before the symbols
+        ([1, 2], [1, 2]),  # offsets do not start at 0
+        ([1, 2], [0, 2, 1, 2]),  # offsets fall
+        ([[1, 2]], [0, 2]),  # not one dimensional
+        ([1, 2], []),  # no offsets at all
+    ):
+        with pytest.raises(ValueError, match="rule offsets must rise"):
+            DictionaryGrammar.from_arrays(2, symbols, offsets)
 
 
 def test_encode_empty_primary():
@@ -264,6 +330,74 @@ def test_is_block_shaped():
     assert is_block_shaped(DictionaryGrammar(2, ((1, 2), (1, 2))))
     assert not is_block_shaped(DictionaryGrammar(2, ((1, 2), (1, 2, 2))))
     assert not is_block_shaped(DictionaryGrammar(2, ((1,), (1, 2, 2))))
+
+
+@st.composite
+def near_block_grammars(draw):
+    """A grammar at or near the block shape, and a (k, head, tail) to check it at.
+
+    Secondary rules are k-blocks, some a symbol short or long or with a
+    nonterminal; the primary is terminal runs around references, sometimes
+    with a stray terminal among the references or a reference in a run, and
+    may be empty or all terminals.
+    """
+    m = draw(st.sampled_from((2, 3, 66)))
+    k = draw(st.integers(1, 4))
+    num_blocks = draw(st.integers(0, 4))
+    terminals = st.integers(1, m)
+    rules = []
+    for i in range(1, num_blocks + 1):
+        size = draw(st.sampled_from((k, k, k, k - 1, k + 1)))
+        rule = draw(st.lists(terminals, min_size=size, max_size=size))
+        if rule and i > 1 and draw(st.integers(0, 4)) == 0:
+            rule[draw(st.integers(0, size - 1))] = draw(st.integers(m + 1, m + i - 1))
+        rules.append(tuple(rule))
+    longest = k if draw(st.integers(0, 4)) == 0 else k - 1  # now and then a run too long
+    head = draw(st.lists(terminals, max_size=longest))
+    refs = draw(st.lists(st.integers(m + 1, m + num_blocks), max_size=4)) if num_blocks else []
+    tail = draw(st.lists(terminals, max_size=longest))
+    stray = draw(st.sampled_from(("none", "none", "terminal", "reference")))
+    if stray == "terminal" and refs:
+        refs.insert(draw(st.integers(1, len(refs))), draw(terminals))
+    elif stray == "reference" and num_blocks and head + tail:
+        runs = draw(st.sampled_from([run for run in (head, tail) if run]))
+        runs[draw(st.integers(0, len(runs) - 1))] = m + num_blocks
+    g = DictionaryGrammar(m, tuple(rules) + (tuple(head + refs + tail),))
+    if draw(st.integers(0, 3)):
+        return g, k, len(head), len(tail)
+    near = st.sampled_from((-1, 1))
+    return g, k + draw(near), len(head) + draw(near), len(tail) + draw(near)
+
+
+def _block_grammar_error(g, k, head_len, tail_len):
+    try:
+        BlockGrammar(base=g, k=k, head_len=head_len, tail_len=tail_len)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_block_grammars())
+@example((DictionaryGrammar(2, ((),)), 1, 0, 0))  # empty primary
+@example((DictionaryGrammar(2, ((1, 2, 1),)), 2, 1, 1))  # all-terminal primary
+@example((DictionaryGrammar(2, ((1, 2), ())), 2, 0, 0))
+@example((DictionaryGrammar(2, ((1, 2), (1, 2))), 2, 1, 1))
+@example((DictionaryGrammar(2, ((1, 2), (1, 2, 2))), 2, 1, 1))
+@example((DictionaryGrammar(2, ((), (1, 2))), 1, 0, 0))  # empty secondary rule
+@example((DictionaryGrammar(2, ((1, 2), (1,))), 2, 1, 1))  # runs longer than the primary
+@example((DictionaryGrammar(2, ((1, 2), (3, 3))), 2, 1, 0))  # reference in the head
+@example((DictionaryGrammar(2, ((1, 2), (3, 3))), 2, 0, 1))  # reference in the tail
+@example((DictionaryGrammar(2, ((1, 2), (3, 1, 3))), 2, 0, 0))  # terminal among references
+@example((DictionaryGrammar(2, ((1, 2), (3,))), 0, 0, 0))  # no block length
+@example((DictionaryGrammar(2, ((1, 2), (1, 1, 3))), 2, 1, 0))  # head of k terminals
+@example((DictionaryGrammar(2, ((1, 2), (3, 2, 2))), 2, 0, 1))  # tail of k terminals
+def test_block_shape_checks_match_the_rule_by_rule_checks(case):
+    g, k, head_len, tail_len = case
+    assert is_block_shaped(g) == is_block_shaped_by_rule(g)
+    assert _block_grammar_error(g, k, head_len, tail_len) == block_shape_error(
+        g, k, head_len, tail_len
+    )
 
 
 @settings(max_examples=150, deadline=None)

@@ -9,12 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minblock import (
+    DictionaryGrammar,
     NonBlockGrammarWarning,
     RankedBlockTable,
     SymbolCode,
     block_cost,
     compress,
     decode,
+    decompress,
     encode,
     encode_grammar,
     grammar_code_length,
@@ -28,6 +30,8 @@ from minblock.transform import (
     _as_symbols,
     _build_block_grammar,
     _kgram_classes,
+    _phase_duplicates,
+    _reach_order,
     _repeat_reach,
     _suffix_index,
 )
@@ -282,6 +286,62 @@ def test_statistics_do_not_build_the_grammar(monkeypatch):
         minimal_block_transform(code, x).grammar
 
 
+def test_codec_never_builds_the_rule_tuples(monkeypatch, corpus_symbols):
+    def refuse(g):
+        raise AssertionError("the rule tuples were built")
+
+    monkeypatch.setattr(DictionaryGrammar, "rules", property(refuse))
+    symbols, alphabet = corpus_symbols
+    rng = np.random.Generator(np.random.Philox(30))
+    cases = [(symbols[: 1 << 12], len(alphabet)), (rng.integers(1, 3, 3000), 2),
+             (np.array([1, 2, 2, 1]), 2)]  # the last has the terminal grammar
+    for u, m in cases:
+        out, m_out = decompress(compress(u, m))
+        assert np.array_equal(out, u) and m_out == m
+    with pytest.raises(AssertionError, match="tuples were built"):
+        DictionaryGrammar.from_arrays(2, [1, 2], [0, 2]).rules
+
+
+def test_phase_duplicates_match_a_count_of_each_k():
+    rng = np.random.Generator(np.random.Philox(31))
+    sides = set()
+    for kind in ("random", "tiled", "doubled"):
+        for m in (2, 27):
+            for n in (1, 40, 700, 2000):
+                if kind == "random":
+                    u = _random_string(rng, m, n)
+                elif kind == "tiled":
+                    u = np.resize(_random_string(rng, m, int(rng.integers(1, 40))), n)
+                else:
+                    half = _random_string(rng, m, n // 2)
+                    u = np.concatenate([half, half, _random_string(rng, m, n % 2)])
+                rank, lcp = _suffix_index(_as_symbols(u, m))
+                reach = _repeat_reach(rank, lcp)
+                kcap = int(lcp.max(initial=0))
+                order, below = _reach_order(reach, kcap)
+                for k in range(1, kcap + 1):
+                    edge = int(below[k - 1])
+                    want = np.bincount(np.flatnonzero(reach >= k) % k, minlength=k)
+                    assert np.array_equal(_phase_duplicates(order, edge, k), want)
+                    sides.add(n - edge <= edge)
+    assert sides == {True, False}  # both sides were binned
+
+
+@pytest.mark.parametrize("kcap", [1, 254, 255, 65534, 65535, 70000])
+def test_reach_order_keeps_every_k_apart(kcap):
+    # the clipped reach is stored in uint8, uint16 or the reach's own type
+    rng = np.random.Generator(np.random.Philox(kcap))
+    reach = np.concatenate([
+        rng.integers(0, kcap + 3, 3000), [0, kcap - 1, kcap, kcap + 1, kcap + 2]
+    ]).astype(np.int32)
+    order, below = _reach_order(reach, kcap)
+    assert below.size == kcap + 2
+    for k in {1, 2, kcap // 2, kcap - 1, kcap} - {0}:
+        edge = int(below[k - 1])
+        assert edge == np.count_nonzero(reach < k)
+        assert np.array_equal(np.sort(order[edge:]), np.flatnonzero(reach >= k))
+
+
 def test_round_trip_small_batch():
     rng = np.random.Generator(np.random.Philox(25))
     for m in (2, 3, 27):
@@ -315,8 +375,6 @@ def test_kmax_override_is_upper_bound():
 
 def test_decode_warns_on_non_block_grammar():
     code = SymbolCode(2)
-    from minblock import DictionaryGrammar
-
     # secondary rule (3, 1) holds a nonterminal, so this is not block shaped
     g = DictionaryGrammar(2, ((1, 2), (3, 1), (4, 4)))
     bits = encode_grammar(code, g)
@@ -326,7 +384,6 @@ def test_decode_warns_on_non_block_grammar():
 
 
 def test_decompress_limits_a_grammar_of_empty_citations():
-    from minblock import DictionaryGrammar, decompress
     from minblock.bits import pack_frame
 
     # expands to [1] through three levels of 1000 citations of an empty rule
