@@ -118,32 +118,11 @@ def hilberg_exponent(series, *, min_n: int | None = None, max_n: int | None = No
     return max(slope, 0.0)
 
 
-def _window_counts(x: np.ndarray, k: int, overlapping: bool) -> np.ndarray:
-    if overlapping:
-        windows = np.lib.stride_tricks.sliding_window_view(x, k)
-    else:
-        p = x.size // k
-        windows = x[: p * k].reshape(p, k)
-    return np.unique(windows, axis=0, return_counts=True)[1]
+def _block_counts(x, k: int, overlapping: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct k-blocks of ``x``, one per row in ascending order, and their counts.
 
-
-def block_entropy(x, k: int, *, overlapping: bool = True) -> float:
-    """Plug-in entropy in bits of the empirical k-block distribution.
-
-    Counts overlapping windows by default (``overlapping=False`` switches to
-    the disjoint parse at phase 0).
+    The blocks are the overlapping windows, or the disjoint parse at phase 0.
     """
-    arr = np.asarray(x)
-    n = arr.size
-    if not 1 <= k <= n:
-        raise ValueError(f"block length must lie in 1..{n}")
-    counts = _window_counts(arr, k, overlapping)
-    p = counts / counts.sum()
-    return float(-(p @ np.log2(p)))
-
-
-def empirical_block_distribution(x, k: int, *, overlapping: bool = True) -> dict[tuple[int, ...], float]:
-    """Empirical probabilities of the k-blocks of ``x`` as a mapping."""
     arr = np.asarray(x)
     n = arr.size
     if not 1 <= k <= n:
@@ -153,7 +132,23 @@ def empirical_block_distribution(x, k: int, *, overlapping: bool = True) -> dict
     else:
         p = n // k
         windows = arr[: p * k].reshape(p, k)
-    blocks, counts = np.unique(windows, axis=0, return_counts=True)
+    return np.unique(windows, axis=0, return_counts=True)
+
+
+def block_entropy(x, k: int, *, overlapping: bool = True) -> float:
+    """Plug-in entropy in bits of the empirical k-block distribution.
+
+    Counts overlapping windows by default (``overlapping=False`` switches to
+    the disjoint parse at phase 0).
+    """
+    counts = _block_counts(x, k, overlapping)[1]
+    p = counts / counts.sum()
+    return float(-(p @ np.log2(p)))
+
+
+def empirical_block_distribution(x, k: int, *, overlapping: bool = True) -> dict[tuple[int, ...], float]:
+    """Empirical probabilities of the k-blocks of ``x`` as a mapping."""
+    blocks, counts = _block_counts(x, k, overlapping)
     total = counts.sum()
     return {
         tuple(int(s) for s in block): int(c) / total

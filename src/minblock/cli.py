@@ -22,14 +22,11 @@ import numpy as np
 from .analysis import hilberg_exponent, block_entropy, mi_bound, pointwise_mi
 from .bits import CodecError, pack_frame, unpack_frame
 from .codes import SymbolCode
-from .grammar import symbol_dtype
 from .plot import Series, render_loglog_svg
 from .sources import (
     SourceSpec,
     alphabet_size,
     first_appearance_alphabet,
-    gen_bernoulli,
-    gen_markov,
     map_bytes_to_symbols,
     permute_characters,
     realize,
@@ -309,15 +306,10 @@ def _cmd_mi(args) -> int:
 
 def _cmd_gen(args) -> int:
     spec = parse_source(args.kind_spec, args.seed)
-    if spec.kind == "bernoulli":
-        symbols = gen_bernoulli(spec.probs, args.n, args.seed)
-        m = len(spec.probs)
-    elif spec.kind == "markov":
-        symbols = gen_markov(spec.transitions, args.n, args.seed)
-        m = len(spec.transitions)
-    else:
+    if spec.kind not in {"bernoulli", "markov"}:
         raise UsageError("gen supports bernoulli:* and markov:* sources")
-    if m > 255:
+    symbols = realize(spec, args.n)
+    if alphabet_size(spec, symbols) > 255:
         raise UsageError("gen writes one byte per symbol; alphabet must be <= 255")
     _write_atomic(args.output, np.asarray(symbols, dtype=np.uint8).tobytes())
     return 0

@@ -55,9 +55,7 @@ def symbol_length(code: SymbolCode, n: int) -> int:
         raise ValueError(f"symbol {n} out of domain")
     if n <= code.m:
         return code.fixed_len
-    j = n - code.m
-    t = j.bit_length() - 1
-    return t + 2 * ((t + 1).bit_length() - 1) + 3
+    return rank_length(n - code.m)
 
 
 def rank_length(j: int) -> int:

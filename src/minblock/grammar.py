@@ -176,30 +176,9 @@ class BlockGrammar:
     tail_len: int
 
     def __post_init__(self) -> None:
-        g = self.base
-        m = g.m
-        if self.k < 1:
-            raise ValueError("block length must be >= 1")
-        if not (0 <= self.head_len < self.k and 0 <= self.tail_len < self.k):
-            raise ValueError("terminal runs must be shorter than the block length")
-        secondary = g.symbols[: g.offsets[-2]]
-        sizes = g.offsets[1:-1] - g.offsets[:-2]
-        if (sizes != self.k).any() or secondary.size and secondary.max() > m:
-            i = next(i for i, rule in enumerate(g.rules[:-1], start=1)
-                     if len(rule) != self.k or max(rule) > m)
-            raise ValueError(f"secondary rule {i} is not a terminal {self.k}-block")
-        prim = g.symbols[g.offsets[-2] :]
-        if prim.size < self.head_len + self.tail_len:
-            raise ValueError("primary rule shorter than its terminal runs")
-        head = prim[: self.head_len]
-        tail = prim[prim.size - self.tail_len :]
-        mid = prim[self.head_len : prim.size - self.tail_len]
-        if head.size and head.max() > m:
-            raise ValueError("head run contains a nonterminal")
-        if tail.size and tail.max() > m:
-            raise ValueError("tail run contains a nonterminal")
-        if mid.size and mid.min() <= m:
-            raise ValueError("terminal inside the reference run")
+        error = _shape_error(self.base, self.k, self.head_len, self.tail_len)
+        if error:
+            raise ValueError(error)
 
     @property
     def m(self) -> int:
@@ -210,25 +189,52 @@ class BlockGrammar:
         return self.base.num_rules
 
 
-def is_block_shaped(g: DictionaryGrammar) -> bool:
-    """True if ``g`` fits the block shape (or is a bare terminal primary)."""
+def _shape_error(g: DictionaryGrammar, k: int, head_len: int, tail_len: int) -> str | None:
+    """Why ``g`` is not a block grammar with these parameters, or None if it is."""
     m = g.m
+    if k < 1:
+        return "block length must be >= 1"
+    if not (0 <= head_len < k and 0 <= tail_len < k):
+        return "terminal runs must be shorter than the block length"
+    secondary = g.symbols[: g.offsets[-2]]
+    bad = g.offsets[1:-1] - g.offsets[:-2] != k
+    # the rule of each nonterminal: the last one starting at or before it
+    bad[np.searchsorted(g.offsets, np.flatnonzero(secondary > m), side="right") - 1] = True
+    if bad.any():
+        return f"secondary rule {int(bad.argmax()) + 1} is not a terminal {k}-block"
     prim = g.symbols[g.offsets[-2] :]
-    nonterminal = prim > m
+    if prim.size < head_len + tail_len:
+        return "primary rule shorter than its terminal runs"
+    head = prim[:head_len]
+    tail = prim[prim.size - tail_len :]
+    mid = prim[head_len : prim.size - tail_len]
+    if head.size and head.max() > m:
+        return "head run contains a nonterminal"
+    if tail.size and tail.max() > m:
+        return "tail run contains a nonterminal"
+    if mid.size and mid.min() <= m:
+        return "terminal inside the reference run"
+    return None
+
+
+def is_block_shaped(g: DictionaryGrammar) -> bool:
+    """True if ``g`` fits the block shape (or is a bare terminal primary).
+
+    k is the length of the first rule, and the runs are the terminals before
+    the first and after the last reference; a primary of terminals alone
+    gets the longest head below k.
+    """
     if g.num_rules == 1:
-        return not nonterminal.any()
-    sizes = g.offsets[1:-1] - g.offsets[:-2]
-    k = int(sizes[0])
-    if k < 1 or (sizes != k).any() or g.symbols[: g.offsets[-2]].max() > m:
-        return False
-    if not nonterminal.any():
-        # nothing but terminal runs; they must split into head and tail < k
-        return prim.size <= 2 * (k - 1)
-    head = int(nonterminal.argmax())
-    tail = int(nonterminal[::-1].argmax())
-    if head >= k or tail >= k:
-        return False
-    return bool(nonterminal[head : prim.size - tail].all())
+        return True  # its only rule can cite no rule, so it is all terminals
+    k = int(g.offsets[1])
+    prim = g.symbols[g.offsets[-2] :]
+    refs = np.flatnonzero(prim > g.m)
+    if refs.size:
+        head, tail = int(refs[0]), prim.size - 1 - int(refs[-1])
+    else:
+        head = min(prim.size, k - 1)
+        tail = prim.size - head
+    return _shape_error(g, k, head, tail) is None
 
 
 def _rule_lengths(m: int, flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:

@@ -409,15 +409,28 @@ def _run_lengths(change: np.ndarray) -> np.ndarray:
     return bounds[1:] - bounds[:-1]
 
 
-def _ref_floor(s_lb: int, p: int, cum_rank_len: np.ndarray) -> int:
-    """Lower bound on the total identifier cost of a parse.
+def _price(fl: int, k: int, blocks: int, runs: int, refs: int) -> int:
+    """Bits of a block grammar: ``blocks`` rules of k terminals, ``runs``
+    terminals in the primary rule, and ``refs`` bits of rule references.
 
-    ``s_lb`` parse blocks are known to be pairwise-distinct singletons; they
-    occupy the worst ranks, every other reference costs at least 3 bits.
+    Each rule ends in a separator, and the grammar in the terminator.
     """
-    if s_lb <= 0:
-        return 3 * p
-    return int(cum_rank_len[s_lb]) + 3 * (p - s_lb)
+    return (blocks * (k + 1) + runs + 2) * fl + refs
+
+
+def _floor(fl: int, k: int, p: int, repeats: int, runs: int, cum_rank_len: np.ndarray) -> int:
+    """Fewest bits of a parse of ``p`` blocks and ``runs`` terminals in which
+    at most ``repeats`` blocks repeat an earlier block.
+
+    At least ``s = p - repeats`` blocks are then distinct, so there are at
+    least ``max(1, s)`` rules; they are singletons when ``repeats`` counts
+    the places whose k-gram occurs twice or more.  Each singleton, like each
+    distinct block, takes a rank of its own, so together they cost at least
+    the s cheapest ranks, ``cum_rank_len[s]``, and every other reference at
+    least the 3 bits of rank 1.
+    """
+    s = max(0, p - repeats)
+    return _price(fl, k, max(1, s), runs, int(cum_rank_len[s]) + 3 * (p - s))
 
 
 def _sweep(code: SymbolCode, rank: np.ndarray, lcp: np.ndarray, best: int,
@@ -447,19 +460,10 @@ def _sweep(code: SymbolCode, rank: np.ndarray, lcp: np.ndarray, best: int,
         edge = int(below[k - 1])
         dups = n - edge  # positions whose k-gram occurs twice or more
 
-        # cheapest conceivable cost for this k given its duplicate count
-        skip = True
-        for p in {p_hi, max(p_hi - 1, 1)}:
-            s_lb = max(0, p - dups)
-            lb = (
-                max(1, s_lb) * (k + 1) * fl
-                + (n - p * k + 2) * fl
-                + _ref_floor(s_lb, p, cum_rank_len)
-            )
-            if lb < best:
-                skip = False
-                break
-        if skip:
+        # cheapest conceivable cost of any phase, whose block count is one
+        # of these, given the duplicate count of the whole block length
+        if all(_floor(fl, k, p, dups, n - p * k, cum_rank_len) >= best
+               for p in {p_hi, max(p_hi - 1, 1)}):
             continue
 
         per_shift = _phase_duplicates(order, edge, k)
@@ -467,14 +471,8 @@ def _sweep(code: SymbolCode, rank: np.ndarray, lcp: np.ndarray, best: int,
         classes = None
         for l in range(0, min(k, n - k + 1)):
             p = (n - l) // k
-            tail = (n - l) - p * k
-            s_lb = max(0, p - int(per_shift[l]))
-            lb = (
-                max(1, s_lb) * (k + 1) * fl
-                + (l + tail + 2) * fl
-                + _ref_floor(s_lb, p, cum_rank_len)
-            )
-            if lb >= best:
+            runs = n - p * k
+            if _floor(fl, k, p, int(per_shift[l]), runs, cum_rank_len) >= best:
                 continue
             if classes is None:
                 classes = _kgram_classes(lcp, k)
@@ -485,12 +483,12 @@ def _sweep(code: SymbolCode, rank: np.ndarray, lcp: np.ndarray, best: int,
             ids = classes[places]
             change = ids[1:] != ids[:-1]
             distinct = 1 + int(np.count_nonzero(change))
-            cost = distinct * (k + 1) * fl + (l + tail + 2) * fl
-            if cost >= best:
+            # all but the first block of each class repeat an earlier one
+            if _floor(fl, k, p, p - distinct, runs, cum_rank_len) >= best:
                 continue
             counts = _run_lengths(change)
             counts[::-1].sort()
-            cost += int(np.dot(counts, rank_len[:distinct]))
+            cost = _price(fl, k, distinct, runs, int(np.dot(counts, rank_len[:distinct])))
             if cost < best:
                 best = cost
                 best_parse = (k, l, distinct)
@@ -544,7 +542,7 @@ def minimal_block_transform(code: SymbolCode, u, *, kmax: int | None = None) -> 
     if kmax is not None and kmax < 1:
         raise ValueError("kmax must be positive")
     rank, lcp = _suffix_index(arr)
-    best, parse = _sweep(code, rank, lcp, (n + 2) * code.fixed_len, kmax)
+    best, parse = _sweep(code, rank, lcp, _price(code.fixed_len, 0, 0, n, 0), kmax)
     k, l, distinct, ids = parse or (0, 0, 0, None)
     return TransformResult(code_bits=best, num_rules=distinct + 1, block_len=k, shift=l,
                            m=code.m, _symbols=arr.copy(), _block_ids=ids)
@@ -576,6 +574,8 @@ def decode(code: SymbolCode, bits: BitString, *, max_len: int | None = None) -> 
 
 def compress(u, m: int, *, kmax: int | None = None) -> bytes:
     """Frame-wrapped :func:`encode` for an alphabet of ``m`` symbols."""
+    # imported at call time: the traced benchmark run patches bits.pack_frame
+    # (TRACED in perfbench/workloads.py), which a top-level import would skip
     from .bits import pack_frame
 
     code = SymbolCode(m)
@@ -584,6 +584,7 @@ def compress(u, m: int, *, kmax: int | None = None) -> bytes:
 
 def decompress(data: bytes, *, max_len: int | None = None) -> tuple[np.ndarray, int]:
     """Inverse of :func:`compress`; returns (symbols, alphabet size)."""
+    # imported at call time for the traced run's patch, as in compress
     from .bits import unpack_frame
 
     m, bits = unpack_frame(data)

@@ -75,6 +75,7 @@ def build_corpus_text(target_bytes: int, seed: int = 20260810) -> bytes:
     size = 0
     act = 1
     while size < target_bytes:
+        scene_start = len(out)
         out.append(f"ACT {act}. SCENE {int(rng.integers(1, 6))}.\n\n")
         act += 1
         for _ in range(int(rng.integers(6, 14))):  # speeches per scene
@@ -92,7 +93,7 @@ def build_corpus_text(target_bytes: int, seed: int = 20260810) -> bytes:
             out.append("\n")
             if rng.random() < 0.15:
                 out.append(f"[{sample_words(1)[0].capitalize()} exits]\n\n")
-        size = sum(len(s) for s in out)
+        size += sum(len(s) for s in out[scene_start:])
     text = "".join(out).encode("ascii")
     return text[:target_bytes]
 

@@ -29,8 +29,10 @@ from minblock.grammar import symbol_dtype
 from minblock.transform import (
     _as_symbols,
     _build_block_grammar,
+    _floor,
     _kgram_classes,
     _phase_duplicates,
+    _rank_length_table,
     _reach_order,
     _repeat_reach,
     _suffix_index,
@@ -303,10 +305,15 @@ def test_codec_never_builds_the_rule_tuples(monkeypatch, corpus_symbols):
 
 
 def test_phase_duplicates_match_a_count_of_each_k():
+    # and each phase's singleton floor is at most its exact cost, and equal on
+    # some; pricing a phase by block_cost is O(n), so the floor is checked up
+    # to k = 64, past which the tiled and doubled strings have 3M phases
     rng = np.random.Generator(np.random.Philox(31))
     sides = set()
+    tight = 0
     for kind in ("random", "tiled", "doubled"):
         for m in (2, 27):
+            code = SymbolCode(m)
             for n in (1, 40, 700, 2000):
                 if kind == "random":
                     u = _random_string(rng, m, n)
@@ -319,12 +326,24 @@ def test_phase_duplicates_match_a_count_of_each_k():
                 reach = _repeat_reach(rank, lcp)
                 kcap = int(lcp.max(initial=0))
                 order, below = _reach_order(reach, kcap)
+                cum_rank_len = np.concatenate(([0], np.cumsum(_rank_length_table(n))))
+                listed = u.tolist()
                 for k in range(1, kcap + 1):
                     edge = int(below[k - 1])
                     want = np.bincount(np.flatnonzero(reach >= k) % k, minlength=k)
                     assert np.array_equal(_phase_duplicates(order, edge, k), want)
                     sides.add(n - edge <= edge)
+                    if k > 64:
+                        continue
+                    for l in range(min(k, n - k + 1)):
+                        p = (n - l) // k
+                        tail = n - l - p * k
+                        cost = block_cost(code, RankedBlockTable.from_parse(listed, k, l), k, l, tail)
+                        floor = _floor(code.fixed_len, k, p, int(want[l]), l + tail, cum_rank_len)
+                        assert floor <= cost, (kind, m, n, k, l)
+                        tight += floor == cost
     assert sides == {True, False}  # both sides were binned
+    assert tight
 
 
 @pytest.mark.parametrize("kcap", [1, 254, 255, 65534, 65535, 70000])
