@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import SymbolCode
-from .grammar import symbol_dtype
-from .transform import TransformResult, minimal_block_transform
+from .transform import TransformResult, _as_symbols, minimal_block_transform
 
 
 @dataclass(frozen=True)
@@ -64,13 +63,20 @@ def pointwise_mi(code: SymbolCode, u, v) -> int:
 
     May be negative; always bounded above by :func:`mi_bound` of the
     concatenation's transform whenever that grammar has secondary rules.
+    Each part must be an input the transform accepts: a part with a symbol
+    outside 1..m, or of non-integers, raises its ``ValueError``.
     """
-    au = np.asarray(u, dtype=symbol_dtype(code.m))
-    av = np.asarray(v, dtype=symbol_dtype(code.m))
+    return _mi_and_joint(code, u, v)[0]
+
+
+def _mi_and_joint(code: SymbolCode, u, v) -> tuple[int, TransformResult]:
+    """:func:`pointwise_mi` of the split and the transform of the concatenation."""
+    au = _as_symbols(u, code.m)
+    av = _as_symbols(v, code.m)
     bu = minimal_block_transform(code, au).code_bits
     bv = minimal_block_transform(code, av).code_bits
-    buv = minimal_block_transform(code, np.concatenate([au, av])).code_bits
-    return bu + bv - buv
+    joint = minimal_block_transform(code, np.concatenate([au, av]))
+    return bu + bv - joint.code_bits, joint
 
 
 def mi_bound(result: TransformResult) -> int:

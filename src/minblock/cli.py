@@ -15,12 +15,12 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .analysis import hilberg_exponent, block_entropy, mi_bound, pointwise_mi
-from .bits import CodecError, pack_frame, unpack_frame
+from .analysis import _mi_and_joint, hilberg_exponent, block_entropy, mi_bound
+from .bits import CodecError
 from .codes import SymbolCode
 from .plot import Series, render_loglog_svg
 from .sources import (
@@ -31,22 +31,10 @@ from .sources import (
     permute_characters,
     realize,
 )
-from .transform import decode, encode, minimal_block_transform
+from .transform import compress, decompress, minimal_block_transform
 
 _DEFAULT_GRID = "2^10..2^22"
 _DECODE_LIMIT = 1 << 31
-
-CSV_FIELDS = (
-    "source",
-    "n",
-    "shift",
-    "rules",
-    "block_len",
-    "code_bits",
-    "bits_per_symbol",
-    "wall_seconds",
-)
-
 
 class UsageError(Exception):
     pass
@@ -61,6 +49,9 @@ class _Parser(argparse.ArgumentParser):
 class ExperimentRecord:
     """One sweep row: transform statistics for a (source, n) pair.
 
+    The fields, in order, are the sweep's CSV columns; a ``format`` in a
+    field's metadata is the format spec of its CSV cell.
+
     ``rules`` counts the primary rule too, as ``DictionaryGrammar.num_rules``
     does: it is 1 for the bare terminal grammar (``block_len == 0``) and the
     number of distinct blocks plus one otherwise.
@@ -72,8 +63,11 @@ class ExperimentRecord:
     rules: int
     block_len: int
     code_bits: int
-    bits_per_symbol: float
-    wall_seconds: float
+    bits_per_symbol: float = field(metadata={"format": ".6f"})
+    wall_seconds: float = field(metadata={"format": ".3f"})
+
+
+CSV_FIELDS = tuple(f.name for f in fields(ExperimentRecord))
 
 
 def _write_atomic(path: str, data: bytes) -> None:
@@ -187,28 +181,19 @@ def records_to_csv(records) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_FIELDS)
+    columns = fields(ExperimentRecord)
     for r in records:
-        writer.writerow(
-            [
-                r.source,
-                r.n,
-                r.shift,
-                r.rules,
-                r.block_len,
-                r.code_bits,
-                f"{r.bits_per_symbol:.6f}",
-                f"{r.wall_seconds:.3f}",
-            ]
-        )
+        writer.writerow(format(getattr(r, f.name), f.metadata.get("format", ""))
+                        for f in columns)
     return buf.getvalue()
 
 
-def _series_for(records, labels, field) -> list[Series]:
+def _series_for(records, labels, column) -> list[Series]:
     out = []
     for label in labels:
         rows = [r for r in records if r.source == label]
         ns = tuple(r.n for r in rows)
-        values = tuple(float(getattr(r, field)) for r in rows)
+        values = tuple(float(getattr(r, column)) for r in rows)
         try:
             slope = hilberg_exponent(zip(ns, values))
         except ValueError:
@@ -219,12 +204,12 @@ def _series_for(records, labels, field) -> list[Series]:
 
 def _sweep_svgs(records, labels, prefix: str) -> list[str]:
     paths = []
-    for field, title, fname in (
+    for column, title, fname in (
         ("rules", "Grammar rules vs prefix length", "rules"),
         ("block_len", "Block length vs prefix length", "block-length"),
     ):
         svg = render_loglog_svg(
-            _series_for(records, labels, field),
+            _series_for(records, labels, column),
             title=title,
             xlabel="prefix length n",
             ylabel=title.split(" vs ")[0],
@@ -244,15 +229,12 @@ def _cmd_encode(args) -> int:
     else:
         symbols = np.frombuffer(data, dtype=np.uint8).astype(np.uint16) + 1
         m = 256
-    code = SymbolCode(m)
-    frame = pack_frame(m, encode(code, symbols, kmax=args.kmax_override))
-    _write_atomic(args.output, frame)
+    _write_atomic(args.output, compress(symbols, m, kmax=args.kmax_override))
     return 0
 
 
 def _cmd_decode(args) -> int:
-    m, bits = unpack_frame(_read_bytes(args.input))
-    symbols = decode(SymbolCode(m), bits, max_len=_DECODE_LIMIT)
+    symbols, m = decompress(_read_bytes(args.input), max_len=_DECODE_LIMIT)
     if args.alphabet_from_file:
         alphabet = first_appearance_alphabet(_read_bytes(args.alphabet_from_file))
         if symbols.size and int(symbols.max()) > len(alphabet):
@@ -293,8 +275,7 @@ def _cmd_mi(args) -> int:
     code = SymbolCode(m)
     u = map_bytes_to_symbols(u_bytes, alphabet)
     v = map_bytes_to_symbols(v_bytes, alphabet)
-    j = pointwise_mi(code, u, v)
-    result = minimal_block_transform(code, np.concatenate([u, v]))
+    j, result = _mi_and_joint(code, u, v)
     bound = mi_bound(result)
     print(f"J_bits={j}")
     print(f"rules={result.num_rules}")

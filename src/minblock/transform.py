@@ -100,7 +100,8 @@ class RankedBlockTable:
     @classmethod
     def from_parse(cls, u, k: int, l: int) -> "RankedBlockTable":
         """Table for the parse of ``u`` at block length ``k`` and phase ``l``."""
-        u = list(u)
+        # plain ints: numpy scalars are slow to slice into tuples and hash
+        u = u.tolist() if isinstance(u, np.ndarray) else list(u)
         if k < 1 or l < 0 or l + k > len(u):
             raise ValueError("parse needs at least one full block")
         p = (len(u) - l) // k
@@ -171,15 +172,19 @@ def block_cost(code: SymbolCode, table: RankedBlockTable, k: int, l: int, tail: 
 
 
 def _as_symbols(u, m: int) -> np.ndarray:
+    """``u`` as a one-dimensional array of terminals 1..m in ``symbol_dtype(m)``.
+
+    The range is checked in the input's own integer type, so the only
+    conversion is the final one, and none when ``u`` already has that type.
+    """
     if isinstance(u, (bytes, bytearray, memoryview)):
         arr = np.frombuffer(bytes(u), dtype=np.uint8)
     else:
         arr = np.asarray(u)
         if arr.size == 0:
-            arr = np.zeros(0, dtype=np.int64)
+            arr = np.zeros(0, dtype=np.uint8)
         if arr.dtype.kind not in "iu":
             raise ValueError("symbols must be integers")
-        arr = arr.astype(np.int64, copy=False)
     if arr.ndim != 1:
         raise ValueError("input must be one dimensional")
     if arr.size and (int(arr.min()) < 1 or int(arr.max()) > m):

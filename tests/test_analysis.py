@@ -1,5 +1,7 @@
 """Information measurements: MI and its bound, growth slopes, entropies."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,23 @@ def test_mi_bound_holds_on_random_splits():
     for _ in range(25):
         cut = int(rng.integers(1, s.size))
         assert pointwise_mi(code, s[:cut], s[cut:]) <= bound
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([257, 258, 257, 258]),  # above m; 1, 2, 1, 2 as uint8
+        np.array([1, -255, 2]),  # negative; 1 as uint8
+        np.array([1.7, 1.0]),  # not integers
+    ],
+)
+def test_pointwise_mi_rejects_what_the_transform_rejects(bad):
+    code = SymbolCode(2)
+    with pytest.raises(ValueError) as rejected:
+        minimal_block_transform(code, bad)
+    for u, v in ((bad, [1, 2]), ([1, 2], bad)):
+        with pytest.raises(ValueError, match=re.escape(str(rejected.value))):
+            pointwise_mi(code, u, v)
 
 
 def test_hilberg_exact_power_laws():

@@ -7,7 +7,15 @@ import os
 import numpy as np
 import pytest
 
-from minblock.cli import main, parse_grid, parse_source, records_to_csv, run_sweep
+from minblock import analysis, cli, transform
+from minblock.cli import (
+    ExperimentRecord,
+    main,
+    parse_grid,
+    parse_source,
+    records_to_csv,
+    run_sweep,
+)
 
 
 def run(args):
@@ -143,6 +151,13 @@ def test_sweep_deterministic_modulo_wall_time(tmp_path):
     assert records_to_csv(a).splitlines()[0] == (
         "source,n,shift,rules,block_len,code_bits,bits_per_symbol,wall_seconds"
     )
+    # every cell of one row, with the two float formats and a quoted label
+    row = ExperimentRecord(source="corpus:a,b.txt", n=1024, shift=3, rules=17,
+                           block_len=4, code_bits=2051, bits_per_symbol=2051 / 1024,
+                           wall_seconds=0.01234)
+    assert records_to_csv([row]).splitlines()[1] == (
+        '"corpus:a,b.txt",1024,3,17,4,2051,2.002930,0.012'
+    )
 
 
 def test_sweep_skips_oversized_n(tmp_path, capsys):
@@ -169,6 +184,24 @@ def test_mi_report(tmp_path, capsys):
     assert set(fields) == {"J_bits", "rules", "block_len", "bound_bits", "slack_bits"}
     assert int(fields["slack_bits"]) == int(fields["bound_bits"]) - int(fields["J_bits"])
     assert int(fields["J_bits"]) <= int(fields["bound_bits"])
+
+
+def test_mi_transforms_the_concatenation_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    for module in (analysis, cli, transform):
+        def counted(*args, _real=module.minimal_block_transform, **kwargs):
+            calls.append(args)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, "minimal_block_transform", counted)
+    u = tmp_path / "u.txt"
+    v = tmp_path / "v.txt"
+    u.write_bytes(b"abracadabra" * 30)
+    v.write_bytes(b"cadabra arbadac" * 20)
+    assert run(["mi", u, v]) == 0
+    assert len(calls) == 3  # u, v and u + v
+    assert capsys.readouterr().out.splitlines() == [
+        "J_bits=-648", "rules=7", "block_len=33", "bound_bits=952", "slack_bits=1600",
+    ]
 
 
 def test_gen_permute_entropy(tmp_path, capsys):

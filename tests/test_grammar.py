@@ -439,8 +439,10 @@ def test_array_codec_rule_ids_past_2_20():
     ),
     where=st.floats(0, 1),
     replace=st.booleans(),
+    nbits=st.integers(1, 63),
 )
-def test_array_decoder_raises_as_codeword_loop(seed, m, kind, where, replace):
+@example(seed=0, m=2, kind="forward", where=0.5, replace=False, nbits=63)
+def test_array_decoder_raises_as_codeword_loop(seed, m, kind, where, replace, nbits):
     rng = np.random.Generator(np.random.Philox(seed))
     code = SymbolCode(m)
     g = random_grammar(rng, m, int(rng.integers(1, 20)), cite=0.5)
@@ -465,7 +467,9 @@ def test_array_decoder_raises_as_codeword_loop(seed, m, kind, where, replace):
         elif kind == "nbits>63":
             insert = "10" + "0" * 6 + "1" + format(int(rng.integers(0, 64)), "06b")
         elif kind == "forward":
-            insert = encode_symbol(code, m + int(rng.integers(1, 1 << 30))).to01()
+            # an offset j of nbits bits: every Elias-delta length class
+            j = (1 << (nbits - 1)) + int(rng.integers(0, 1 << (nbits - 1)))
+            insert = encode_symbol(code, m + j).to01()
         elif kind == "terminator":
             insert = encode_symbol(code, -1).to01()
         else:

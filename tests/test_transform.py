@@ -51,6 +51,10 @@ def test_ranked_table_from_parse():
     table = RankedBlockTable.from_parse([1, 2, 2, 1], 2, 0)
     assert table.entries == (((1, 2), 1), ((2, 1), 1))  # tie broken by value
     assert table.total == 2
+    # an array parses as the list of its values, into plain ints
+    table = RankedBlockTable.from_parse(np.array([1, 2, 2, 1], dtype=np.uint8), 2, 0)
+    assert table.entries == (((1, 2), 1), ((2, 1), 1))
+    assert all(type(s) is int for block, _ in table.entries for s in block)
 
 
 def test_ranked_table_validation():
