@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import SymbolCode
-from .transform import TransformResult, _as_symbols, minimal_block_transform
+from .transform import TransformResult, _as_symbols, _split_transforms
+# looked up here by the traced benchmark run (TRACED in perfbench/workloads.py)
+from .transform import minimal_block_transform  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,9 @@ def pointwise_mi(code: SymbolCode, u, v) -> int:
     concatenation's transform whenever that grammar has secondary rules.
     Each part must be an input the transform accepts: a part with a symbol
     outside 1..m, or of non-integers, raises its ``ValueError``.
+
+    One suffix index of the concatenation serves all three code lengths: the
+    search reads each part as a range of it.
     """
     return _mi_and_joint(code, u, v)[0]
 
@@ -73,9 +78,7 @@ def _mi_and_joint(code: SymbolCode, u, v) -> tuple[int, TransformResult]:
     """:func:`pointwise_mi` of the split and the transform of the concatenation."""
     au = _as_symbols(u, code.m)
     av = _as_symbols(v, code.m)
-    bu = minimal_block_transform(code, au).code_bits
-    bv = minimal_block_transform(code, av).code_bits
-    joint = minimal_block_transform(code, np.concatenate([au, av]))
+    bu, bv, joint = _split_transforms(code, np.concatenate([au, av]), au.size)
     return bu + bv - joint.code_bits, joint
 
 

@@ -146,10 +146,15 @@ class BitReader:
         return self.read_bits(1)
 
 
-def pack_frame(m: int, bits: BitString) -> bytes:
-    """Serialize a payload: magic, version, alphabet size, bit count, bits."""
+def _check_frame_alphabet(m: int) -> None:
+    """Raise ValueError unless the frame header can hold the alphabet size ``m``."""
     if not 2 <= m <= 0xFFFF:
         raise ValueError("alphabet size must be between 2 and 65535")
+
+
+def pack_frame(m: int, bits: BitString) -> bytes:
+    """Serialize a payload: magic, version, alphabet size, bit count, bits."""
+    _check_frame_alphabet(m)
     return (
         MAGIC
         + bytes([VERSION])

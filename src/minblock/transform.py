@@ -30,17 +30,30 @@ read off the highest bit in which two words differ.
   repeats are then one end of that order.  Their exact count prices the
   whole block length before any pass over the input, and their number per
   phase is binned mod k from whichever end of the order is smaller.
-* Cutting the sorted suffixes wherever the LCP drops below k gives every
-  k-gram a class ID, equal for equal k-grams and ascending in their order,
-  so the block counts of a phase come from sorting the places of its
-  blocks in suffix order.
+* A block of k <= w symbols is its own sort key: the top k symbols of the
+  packed word at its start, which the index keeps.  Equal keys are equal
+  blocks, so the block counts of a phase come from sorting its keys.
+* Longer blocks are told apart by class IDs: cutting the sorted suffixes
+  wherever the LCP drops below k gives every k-gram an ID, equal for equal
+  k-grams and ascending in their order, so sorting the places of a phase's
+  blocks in suffix order sorts their IDs.
 * A block length is skipped outright when even one secondary rule would
   already cost more than the best grammar found so far.
 
 Every bound is exact or a true lower bound, so pruning never changes the
-result.  The search itself builds no grammar: it gathers the class IDs of
-the winning parse once, after the sweep, and the result builds its grammar
+result.  The search itself builds no grammar: the class IDs of the winning
+parse are gathered once, after the sweep, and the result builds its grammar
 from them when it is first read.
+
+The sweep can search any range x[lo:hi] of the indexed string x, so one
+index of u + v prices u, v and u + v for the pointwise mutual information.
+The suffixes of a range keep their order among those of x, and the LCP of
+two of them is the least LCP of x between their places.  That is the
+range's own index when the range runs to the end of x.  A range that ends
+earlier may have a common prefix that runs past its end, so its reach is
+capped at the length of each suffix, an upper bound that only weakens the
+singleton floors: block lengths above its true longest repeat have only
+distinct blocks, which never beat the terminal grammar.
 """
 
 from __future__ import annotations
@@ -49,10 +62,11 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .bits import BitString
+from .bits import BitString, _check_frame_alphabet
 from .codes import SymbolCode, rank_length, rank_lengths
 from .grammar import (
     BlockGrammar,
@@ -213,7 +227,7 @@ def _packed_words(arr: np.ndarray) -> tuple[np.ndarray, int, int]:
     ``(words, w, b)``.
     """
     n = arr.size
-    b = int(arr.max()).bit_length()
+    b = int(arr.max(initial=1)).bit_length()
     w = 1 << ((64 // b).bit_length() - 1)
     words = np.zeros(n + 1, np.uint64)
     words[:n] = arr
@@ -307,12 +321,23 @@ def _lift(levels: list, sa: np.ndarray, common: np.ndarray, words: np.ndarray,
     common[pairs] = lifted + _shared_symbols(words[a + lifted], words[c + lifted], w, b)
 
 
-def _suffix_index(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _SuffixIndex(NamedTuple):
+    """What :func:`_suffix_index` builds, kept for the search to read."""
+
+    rank: np.ndarray
+    lcp: np.ndarray
+    words: np.ndarray  # from _packed_words, with its w and b
+    w: int
+    b: int
+
+
+def _suffix_index(arr: np.ndarray) -> _SuffixIndex:
     """Suffix ranks ``rank`` and neighbour LCP array ``lcp`` of ``arr``.
 
     ``rank[i]`` is the place of the suffix starting at i in sorted order (the
     inverse suffix array), and ``lcp[r]`` is the length of the longest common
-    prefix of the suffixes at places r - 1 and r, with ``lcp[0] = 0``.
+    prefix of the suffixes at places r - 1 and r, with ``lcp[0] = 0``.  The
+    packed words the sort starts from come back with them.
 
     The suffixes are sorted by prefix doubling (Manber & Myers 1993) that
     starts from packed words (:func:`_packed_words`): one argsort of the words
@@ -333,9 +358,9 @@ def _suffix_index(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n = arr.size
     dtype = np.int32 if n < 2**31 else np.int64
-    if n == 0:
-        return np.zeros(0, dtype), np.zeros(0, dtype)
     words, w, b = _packed_words(arr)
+    if n == 0:
+        return _SuffixIndex(np.zeros(0, dtype), np.zeros(0, dtype), words, w, b)
     sa = np.argsort(words[:n]).astype(dtype)
     sorted_words = words[sa]
     # exact for neighbours in different word groups, w within one; rounds
@@ -352,7 +377,7 @@ def _suffix_index(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         tied = _double(sa, levels[-1], rank, tied, w << (len(levels) - 1))
     if levels:
         _lift(levels, sa, common, words, w, b)
-    return rank[:n], np.concatenate((np.zeros(1, dtype), common))
+    return _SuffixIndex(rank[:n], np.concatenate((np.zeros(1, dtype), common)), words, w, b)
 
 
 def _repeat_reach(rank: np.ndarray, lcp: np.ndarray) -> np.ndarray:
@@ -363,6 +388,29 @@ def _repeat_reach(rank: np.ndarray, lcp: np.ndarray) -> np.ndarray:
     ``reach[i] >= k``.
     """
     return np.maximum(lcp, np.append(lcp[1:], 0))[rank]
+
+
+def _range_reach(rank: np.ndarray, lcp: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """:func:`_repeat_reach` within x[lo:hi], from the index of x, counted from lo.
+
+    The range's suffixes keep their order among those of x, and the LCP of
+    two neighbours among them is the least LCP of x between their places:
+    that is the range's own index when ``hi`` is the end of x, and the reach
+    is exact.  Before the end, a common prefix may run past ``hi``; the reach
+    is then capped at the length of each suffix, which leaves an upper bound.
+    """
+    places = rank[lo:hi]
+    in_range = np.zeros(lcp.size, bool)
+    in_range[places] = True
+    sub_rank = np.cumsum(in_range, dtype=rank.dtype)[places] - 1
+    kept = np.flatnonzero(in_range)
+    sub_lcp = np.zeros(kept.size, lcp.dtype)
+    if kept.size > 1:
+        sub_lcp[1:] = np.minimum.reduceat(lcp[: kept[-1] + 1], kept[:-1] + 1)
+    reach = _repeat_reach(sub_rank, sub_lcp)
+    if hi < lcp.size:
+        np.minimum(reach, np.arange(hi - lo, 0, -1, dtype=reach.dtype), out=reach)
+    return reach
 
 
 def _reach_order(reach: np.ndarray, kcap: int) -> tuple[np.ndarray, np.ndarray]:
@@ -438,26 +486,30 @@ def _floor(fl: int, k: int, p: int, repeats: int, runs: int, cum_rank_len: np.nd
     return _price(fl, k, max(1, s), runs, int(cum_rank_len[s]) + 3 * (p - s))
 
 
-def _sweep(code: SymbolCode, rank: np.ndarray, lcp: np.ndarray, best: int,
+def _sweep(code: SymbolCode, index: _SuffixIndex, lo: int, hi: int, reach: np.ndarray,
            kmax: int | None):
-    """Cost of the cheapest parse costing less than ``best``, and the parse.
+    """Cost of the cheapest block grammar of x[lo:hi], and its parse.
 
-    The parse is ``(k, l, distinct, ids)``: its block length, phase, number
-    of distinct blocks and the k-gram class IDs of its blocks.  Returns
-    ``(best, None)`` when no parse costs less.
+    ``index`` is the suffix index of x, and ``reach`` the reach of each
+    position of the range counted from ``lo`` (:func:`_range_reach`), or an
+    upper bound on it.  The parse is ``(k, l, distinct)``: its block length,
+    phase and number of distinct blocks, or None for the terminal grammar,
+    which wins every tie.
     """
-    n = lcp.size
+    n = hi - lo
     fl = code.fixed_len
-    kcap = int(lcp.max(initial=0))  # the longest repeat: no longer block repeats
+    best = _price(fl, 0, 0, n, 0)
+    best_parse = None
+    rank, lcp, words, w, b = index
+    kcap = int(reach.max(initial=0))  # the longest repeat: no longer block repeats
     if kmax is not None:
         kcap = min(kcap, kmax)
     if kcap < 1:
         return best, None
-    order, below = _reach_order(_repeat_reach(rank, lcp), kcap)
+    order, below = _reach_order(reach, kcap)
     rank_len = _rank_length_table(n)
     cum_rank_len = np.concatenate(([0], np.cumsum(rank_len)))
 
-    best_parse = None
     for k in range(1, kcap + 1):
         if (k + 1) * fl >= best:
             break
@@ -473,20 +525,29 @@ def _sweep(code: SymbolCode, rank: np.ndarray, lcp: np.ndarray, best: int,
 
         per_shift = _phase_duplicates(order, edge, k)
 
+        # a block of k <= w symbols is the top of its word; past 32 bits the
+        # keys stay 64-bit
+        shift = (w - k) * b
+        key_dtype = np.uint32 if k * b <= 32 else np.uint64
         classes = None
         for l in range(0, min(k, n - k + 1)):
             p = (n - l) // k
             runs = n - p * k
             if _floor(fl, k, p, int(per_shift[l]), runs, cum_rank_len) >= best:
                 continue
-            if classes is None:
-                classes = _kgram_classes(lcp, k)
-            # IDs ascend with the place, so sorting places sorts the IDs and
-            # makes their gather sequential
-            places = rank[l : l + p * k : k].copy()
-            places.sort()
-            ids = classes[places]
-            change = ids[1:] != ids[:-1]
+            start = lo + l
+            if k <= w:
+                keys = (words[start : start + p * k : k] >> shift).astype(key_dtype, copy=False)
+                keys.sort()
+            else:
+                if classes is None:
+                    classes = _kgram_classes(lcp, k)
+                # IDs ascend with the place, so sorting places sorts the IDs
+                # and makes their gather sequential
+                places = rank[start : start + p * k : k].copy()
+                places.sort()
+                keys = classes[places]
+            change = keys[1:] != keys[:-1]
             distinct = 1 + int(np.count_nonzero(change))
             # all but the first block of each class repeat an earlier one
             if _floor(fl, k, p, p - distinct, runs, cum_rank_len) >= best:
@@ -497,11 +558,7 @@ def _sweep(code: SymbolCode, rank: np.ndarray, lcp: np.ndarray, best: int,
             if cost < best:
                 best = cost
                 best_parse = (k, l, distinct)
-    if best_parse is None:
-        return best, None
-    k, l, distinct = best_parse
-    p = (n - l) // k
-    return best, (k, l, distinct, _kgram_classes(lcp, k)[rank[l : l + p * k : k]])
+    return best, best_parse
 
 
 def _build_block_grammar(arr: np.ndarray, m: int, k: int, l: int, ids: np.ndarray):
@@ -543,14 +600,36 @@ def minimal_block_transform(code: SymbolCode, u, *, kmax: int | None = None) -> 
     caps the sweep (the result is then only an upper bound on the optimum).
     """
     arr = _as_symbols(u, code.m)
-    n = arr.size
     if kmax is not None and kmax < 1:
         raise ValueError("kmax must be positive")
-    rank, lcp = _suffix_index(arr)
-    best, parse = _sweep(code, rank, lcp, _price(code.fixed_len, 0, 0, n, 0), kmax)
-    k, l, distinct, ids = parse or (0, 0, 0, None)
+    return _transform(code, arr.copy(), _suffix_index(arr), kmax)
+
+
+def _transform(code: SymbolCode, arr: np.ndarray, index: _SuffixIndex,
+               kmax: int | None = None) -> TransformResult:
+    """:func:`minimal_block_transform` of ``arr``, from its suffix index.
+
+    The result keeps ``arr``.
+    """
+    n = arr.size
+    rank, lcp = index.rank, index.lcp
+    best, parse = _sweep(code, index, 0, n, _repeat_reach(rank, lcp), kmax)
+    k, l, distinct = parse or (0, 0, 0)
+    ids = None if parse is None else _kgram_classes(lcp, k)[rank[l : l + (n - l) // k * k : k]]
     return TransformResult(code_bits=best, num_rules=distinct + 1, block_len=k, shift=l,
-                           m=code.m, _symbols=arr.copy(), _block_ids=ids)
+                           m=code.m, _symbols=arr, _block_ids=ids)
+
+
+def _split_transforms(code: SymbolCode, x: np.ndarray, cut: int) -> tuple[int, int, TransformResult]:
+    """Code lengths of ``x[:cut]`` and ``x[cut:]``, and the transform of ``x``.
+
+    One suffix index of ``x`` serves all three searches; the result keeps
+    ``x``.
+    """
+    index = _suffix_index(x)
+    bu, bv = (_sweep(code, index, lo, hi, _range_reach(index.rank, index.lcp, lo, hi), None)[0]
+              for lo, hi in ((0, cut), (cut, x.size)))
+    return bu, bv, _transform(code, x, index)
 
 
 def encode(code: SymbolCode, u, *, kmax: int | None = None) -> BitString:
@@ -583,6 +662,7 @@ def compress(u, m: int, *, kmax: int | None = None) -> bytes:
     # (TRACED in perfbench/workloads.py), which a top-level import would skip
     from .bits import pack_frame
 
+    _check_frame_alphabet(m)  # before the search, which would be wasted
     code = SymbolCode(m)
     return pack_frame(m, encode(code, u, kmax=kmax))
 

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from minblock import analysis, cli, transform
+from minblock import transform
 from minblock.cli import (
     ExperimentRecord,
     main,
@@ -187,18 +187,20 @@ def test_mi_report(tmp_path, capsys):
 
 
 def test_mi_transforms_the_concatenation_once(tmp_path, capsys, monkeypatch):
+    # one suffix index of u + v serves the code lengths of u, v and u + v
     calls = []
-    for module in (analysis, cli, transform):
-        def counted(*args, _real=module.minimal_block_transform, **kwargs):
-            calls.append(args)
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(module, "minimal_block_transform", counted)
+
+    def counted(arr, _real=transform._suffix_index):
+        calls.append(arr.size)
+        return _real(arr)
+
+    monkeypatch.setattr(transform, "_suffix_index", counted)
     u = tmp_path / "u.txt"
     v = tmp_path / "v.txt"
     u.write_bytes(b"abracadabra" * 30)
     v.write_bytes(b"cadabra arbadac" * 20)
     assert run(["mi", u, v]) == 0
-    assert len(calls) == 3  # u, v and u + v
+    assert calls == [330 + 300]
     assert capsys.readouterr().out.splitlines() == [
         "J_bits=-648", "rules=7", "block_len=33", "bound_bits=952", "slack_bits=1600",
     ]

@@ -23,7 +23,7 @@ from minblock import (
     minimal_block_transform,
 )
 from minblock import transform
-from minblock.analysis import mi_bound, pointwise_mi
+from minblock.analysis import _mi_and_joint, mi_bound, pointwise_mi
 from minblock.cli import parse_source, run_sweep
 from minblock.grammar import symbol_dtype
 from minblock.transform import (
@@ -32,10 +32,12 @@ from minblock.transform import (
     _floor,
     _kgram_classes,
     _phase_duplicates,
+    _range_reach,
     _rank_length_table,
     _reach_order,
     _repeat_reach,
     _suffix_index,
+    _sweep,
 )
 
 from reference import reference_min_bits
@@ -173,7 +175,7 @@ def _indexed_strings(draw):
 def _assert_index_exact(u, m):
     """The suffix index of ``u`` against naive suffix sorting, LCP and k-grams."""
     n = len(u)
-    rank, lcp = _suffix_index(_as_symbols(u, m))
+    rank, lcp, *_ = _suffix_index(_as_symbols(u, m))
     sa = np.argsort(rank).tolist()
     assert sa == sorted(range(n), key=lambda i: u[i:])
     assert sorted(rank.tolist()) == list(range(n))
@@ -207,23 +209,74 @@ def test_suffix_index_is_exact(case):
     _assert_index_exact(*case)
 
 
-@pytest.mark.parametrize(
-    "top", [1, 2, 3, 4, 7, 8, 15, 16, 255, 256, 65535, 65536, 2**32 - 1]
-)
-def test_suffix_index_at_packing_boundaries(top):
-    # the index packs w symbols of b = top.bit_length() bits into one 64-bit
-    # word; these inputs put the largest symbol, the longest repeat and the
-    # length at and around the edges of one word
+PACKING_TOPS = [1, 2, 3, 4, 7, 8, 15, 16, 255, 256, 65535, 65536, 2**32 - 1]
+
+
+def _word_and_letters(top):
+    """Symbols per packed word, and a few letters up to ``top``, largest first.
+
+    The index packs w symbols of b = top.bit_length() bits into one 64-bit
+    word.
+    """
     w = max(2**j for j in range(7) if 2**j * top.bit_length() <= 64)
+    return w, sorted({1, max(top // 2, 1), max(top - 1, 1), top}, reverse=True)
+
+
+def _packing_inputs(top):
+    """Strings whose largest symbol, longest repeat and length sit at and
+    around the edges of one packed word.
+
+    Yields ``(u, m, repeat)``, with ``repeat`` the longest repeat when it is
+    fixed by the construction, else None.
+    """
+    w, letters = _word_and_letters(top)
     rng = np.random.Generator(np.random.Philox(top))
-    letters = sorted({1, max(top // 2, 1), max(top - 1, 1), top}, reverse=True)
     m = max(top, 2)
     for repeat in (w - 1, w, w + 1, 2 * w):
         # a period of distinct symbols: the longest repeat is n minus the period
-        u = np.resize(letters, len(letters) + repeat).tolist()
-        assert int(_assert_index_exact(u, m).max()) == repeat
+        yield np.resize(letters, len(letters) + repeat).tolist(), m, repeat
     for n in (1, 2, w - 1, w, 3 * w + 1):
-        _assert_index_exact(rng.choice(letters, n).tolist(), m)
+        yield rng.choice(letters, n).tolist(), m, None
+
+
+@pytest.mark.parametrize("top", PACKING_TOPS)
+def test_suffix_index_at_packing_boundaries(top):
+    for u, m, repeat in _packing_inputs(top):
+        lcp = _assert_index_exact(u, m)
+        if repeat is not None:
+            assert int(lcp.max()) == repeat
+
+
+@pytest.mark.parametrize("top", PACKING_TOPS)
+def test_block_keys_count_as_the_class_ids(top):
+    # a block of k <= w symbols is keyed by the top of its packed word, as
+    # uint32 while k * b <= 32; the same sweep with w = 0 counts every block
+    # by its class ID.  Both must agree at k = w - 1, w, w + 1 and on both
+    # sides of k * b = 32, on the packing inputs, on strings tiled with a
+    # period of k or doubled, whose best parse lies at such k, and on blocks
+    # that differ only in their first symbol, the top bits of the key
+    b = top.bit_length()
+    w, letters = _word_and_letters(top)
+    ks = sorted({w - 1, w, w + 1, 32 // b, 32 // b + 1} - {0})
+    rng = np.random.Generator(np.random.Philox(top + 1))
+    inputs = [u for u, _, _ in _packing_inputs(top)]
+    for k in ks:
+        inputs.append(np.resize(rng.choice(letters, k), 9 * k + 3).tolist())
+        half = rng.choice(letters, 2 * k + 1).tolist()
+        inputs.append(half + half)
+        tail = rng.choice(letters, k - 1).tolist()
+        inputs.append([s for i in range(8) for s in [letters[i % len(letters)]] + tail])
+    m = max(top, 2)
+    code = SymbolCode(m)
+    for u in inputs:
+        index = _suffix_index(_as_symbols(u, m))
+        n = len(u)
+        for lo, hi in ((0, n), (0, n // 2), (n // 3, n)):
+            reach = _range_reach(index.rank, index.lcp, lo, hi)
+            for k in ks:
+                keyed = _sweep(code, index, lo, hi, reach, k)
+                by_class = _sweep(code, index._replace(w=0), lo, hi, reach, k)
+                assert keyed == by_class, (u, lo, hi, k)
 
 
 def _pinned_batch():
@@ -263,6 +316,45 @@ def test_search_results_are_pinned():
         r = minimal_block_transform(SymbolCode(m), u)
         rows.append(f"{r.code_bits},{r.block_len},{r.shift},{r.num_rules}")
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == PINNED_ROWS_SHA256
+
+
+def _stats(result):
+    return result.code_bits, result.block_len, result.shift, result.num_rules
+
+
+def test_ranges_search_as_their_own_transforms():
+    # every part of a split, searched as a range of the concatenation's index,
+    # against the transform of the part alone; the part that runs to the end
+    # has the reach of its own index, the other an upper bound on it.  The
+    # strings are the pinned batch's shorter ones, cut at both ends, next to
+    # them and at a random place
+    rng = np.random.Generator(np.random.Philox(41))
+    for u, m in _pinned_batch():
+        n = u.size
+        if n >= 200:
+            continue
+        code = SymbolCode(m)
+        x = _as_symbols(u, m)
+        index = _suffix_index(x)
+        whole = minimal_block_transform(code, x)
+        for c in {0, 1, n - 1, n, int(rng.integers(0, n + 1))} - {-1}:
+            parts = [minimal_block_transform(code, x[:c]), minimal_block_transform(code, x[c:])]
+            j, joint = _mi_and_joint(code, x[:c], x[c:])
+            assert j == parts[0].code_bits + parts[1].code_bits - whole.code_bits
+            assert _stats(joint) == _stats(whole)
+            for (lo, hi), part in zip(((0, c), (c, n)), parts):
+                reach = _range_reach(index.rank, index.lcp, lo, hi)
+                own = _suffix_index(x[lo:hi])
+                exact = _repeat_reach(own.rank, own.lcp)
+                if hi == n:
+                    assert np.array_equal(reach, exact), (m, n, lo, hi)
+                else:
+                    assert np.all(reach >= exact), (m, n, lo, hi)
+                # no repeat runs past the end of its suffix
+                assert np.all(reach <= np.arange(hi - lo, 0, -1)), (m, n, lo, hi)
+                best, parse = _sweep(code, index, lo, hi, reach, None)
+                k, l, distinct = parse or (0, 0, 0)
+                assert (best, k, l, distinct + 1) == _stats(part), (m, n, lo, hi)
 
 
 def test_grammar_is_built_on_first_read():
@@ -326,7 +418,7 @@ def test_phase_duplicates_match_a_count_of_each_k():
                 else:
                     half = _random_string(rng, m, n // 2)
                     u = np.concatenate([half, half, _random_string(rng, m, n % 2)])
-                rank, lcp = _suffix_index(_as_symbols(u, m))
+                rank, lcp, *_ = _suffix_index(_as_symbols(u, m))
                 reach = _repeat_reach(rank, lcp)
                 kcap = int(lcp.max(initial=0))
                 order, below = _reach_order(reach, kcap)
@@ -448,7 +540,7 @@ def test_block_build_ranks_as_the_table(m, ks):
             piece = rng.integers(1, min(m, int(rng.choice([2, 3, m]))) + 1, 6 * k)
             u = np.concatenate([piece, rng.permutation(piece), piece[: 3 * k + 1]])
             arr = _as_symbols(u, m)
-            suffix_rank, lcp = _suffix_index(arr)
+            suffix_rank, lcp, *_ = _suffix_index(arr)
             classes = _kgram_classes(lcp, k)[suffix_rank]
             for l in range(k):
                 p = (len(u) - l) // k
@@ -471,3 +563,12 @@ def test_alphabet_above_uint16_round_trips():
         compress(u, 70000)  # the frame header holds m in 16 bits
     with pytest.raises(ValueError):
         SymbolCode(2**32)
+
+
+def test_compress_rejects_the_alphabet_before_searching(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the transform ran")
+
+    monkeypatch.setattr(transform, "minimal_block_transform", refuse)
+    with pytest.raises(ValueError, match="between 2 and 65535"):
+        compress([1, 65537, 1, 65537], 70000)
