@@ -15,6 +15,7 @@ import os
 import sys
 import tempfile
 import time
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -130,50 +131,93 @@ def parse_grid(text: str) -> list[int]:
             b = int(hi.removeprefix("2^"))
         except ValueError as exc:
             raise UsageError(f"bad grid {text!r}") from exc
-        if not lo.startswith("2^") or not hi.startswith("2^") or a > b:
+        if not lo.startswith("2^") or not hi.startswith("2^") or not 0 <= a <= b:
             raise UsageError(f"bad grid {text!r}")
         return [1 << j for j in range(a, b + 1)]
     try:
         ns = [int(x) for x in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"bad grid {text!r}") from exc
-    if any(n < 1 for n in ns) or sorted(ns) != ns:
+    if ns[0] < 1 or any(a >= b for a, b in zip(ns, ns[1:])):
         raise UsageError("grid lengths must be positive and increasing")
     return ns
+
+
+def _cpu_count() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # sched_getaffinity is not on every platform
+        return os.cpu_count() or 1
+
+
+def _sweep_row(label: str, code: SymbolCode, stream, n: int, kmax) -> ExperimentRecord:
+    start = time.perf_counter()
+    result = minimal_block_transform(code, stream[:n], kmax=kmax)
+    wall = time.perf_counter() - start
+    return ExperimentRecord(
+        source=label,
+        n=n,
+        shift=result.shift,
+        rules=result.num_rules,
+        block_len=result.block_len,
+        code_bits=result.code_bits,
+        bits_per_symbol=result.code_bits / n,
+        wall_seconds=wall,
+    )
 
 
 def run_sweep(specs, ns, *, kmax=None, warn=None) -> list[ExperimentRecord]:
     """Transform each source prefix on the grid and collect the records.
 
-    Lengths beyond a source's size are skipped (reported via ``warn``).
-    Rows are ordered by source then by n.
+    Lengths beyond a source's size are skipped, each reported via ``warn``
+    before any transform runs, in row order.  Rows are ordered by source
+    then by n.
+
+    The transforms run concurrently, on up to one thread per CPU this
+    process may use: numpy releases the interpreter lock in the sorts, gathers and
+    ufuncs a transform is made of.  The largest n starts first, ties in row
+    order (list scheduling, longest job first).  A transform's memory grows
+    with its n, so one starts only while its n and the n of those running
+    sum to at most 3/2 of the largest n on the grid, or when none is
+    running; the peak memory stays near that of one transform at a time.
+    ``wall_seconds`` is the wall time of the row's own transform, and rows
+    may overlap in time.  If a transform raises, no further one starts, and
+    the exception propagates once the running ones have finished.
     """
-    records: list[ExperimentRecord] = []
+    rows = []  # the arguments of _sweep_row, in row order
     for spec in specs:
         stream = realize(spec, max(ns))
-        m = max(2, alphabet_size(spec, stream))
-        code = SymbolCode(m)
+        code = SymbolCode(max(2, alphabet_size(spec, stream)))
         for n in ns:
-            if n > stream.size:
-                if warn:
-                    warn(f"skipping n={n} for {spec.label}: source has only "
-                         f"{stream.size} symbols")
-                continue
-            start = time.perf_counter()
-            result = minimal_block_transform(code, stream[:n], kmax=kmax)
-            wall = time.perf_counter() - start
-            records.append(
-                ExperimentRecord(
-                    source=spec.label,
-                    n=n,
-                    shift=result.shift,
-                    rules=result.num_rules,
-                    block_len=result.block_len,
-                    code_bits=result.code_bits,
-                    bits_per_symbol=result.code_bits / n,
-                    wall_seconds=wall,
-                )
-            )
+            if n <= stream.size:
+                rows.append((spec.label, code, stream, n, kmax))
+            elif warn:
+                warn(f"skipping n={n} for {spec.label}: source has only "
+                     f"{stream.size} symbols")
+    records: list = [None] * len(rows)
+    pending = sorted(range(len(rows)), key=lambda i: -rows[i][3])
+    budget = 3 * max((row[3] for row in rows), default=0)  # twice 3/2 of the largest n
+    workers = _cpu_count()
+    running = {}  # future -> row index
+    error = None
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        while running or pending:
+            for i in list(pending):
+                load = rows[i][3] + sum(rows[j][3] for j in running.values())
+                if len(running) < workers and (not running or 2 * load <= budget):
+                    running[pool.submit(_sweep_row, *rows[i])] = i
+                    pending.remove(i)
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                i = running.pop(future)
+                if future.exception() is None:
+                    records[i] = future.result()
+                elif error is None:
+                    error = future.exception()
+                    pending.clear()  # no further transform starts
+    if error is not None:
+        raise error
     return records
 
 
@@ -331,7 +375,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--alphabet-from-file", metavar="PATH")
     p.set_defaults(func=_cmd_decode)
 
-    p = sub.add_parser("sweep", help="transform prefixes of sources, emit CSV/SVG")
+    p = sub.add_parser(
+        "sweep", help="transform prefixes of sources, emit CSV/SVG",
+        description="Transform the prefix of each source at each grid length and "
+                    "write one CSV row per (source, n), in grid order.  The "
+                    "transforms run concurrently, on up to one thread per CPU "
+                    "this process may use, largest n first; one starts only "
+                    "while the n of those running, its own included, sum to at "
+                    "most 3/2 of the largest n on the grid, which keeps the "
+                    "peak memory near that of one transform at a time.  "
+                    "wall_seconds is the wall time of the row's own transform; "
+                    "rows may overlap in time.")
     p.add_argument("--source", action="append", required=True,
                    metavar="KIND:PARAMS",
                    help="bernoulli:P[,P2..] | markov:TABLE.json | corpus:PATH | "

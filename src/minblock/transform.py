@@ -207,14 +207,15 @@ def _as_symbols(u, m: int) -> np.ndarray:
 
 
 def _rank_length_table(jmax: int) -> np.ndarray:
-    """Vector of open-class codeword lengths for offsets 1..jmax.
+    """Vector of open-class codeword lengths for offsets 1..jmax, as uint8.
 
     The length is constant on each [2**t, 2**(t+1)), so the table is one run
     of equal lengths per t.
     """
     jmax = max(jmax, 0)
     starts = 1 << np.arange(jmax.bit_length())
-    return np.repeat(rank_lengths(starts), np.minimum(starts, jmax + 1 - starts))
+    # no length exceeds 66, so one byte holds each
+    return np.repeat(rank_lengths(starts).astype(np.uint8), np.minimum(starts, jmax + 1 - starts))
 
 
 def _packed_words(arr: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -240,24 +241,26 @@ def _packed_words(arr: np.ndarray) -> tuple[np.ndarray, int, int]:
     return words, w, b
 
 
+_SLICE = 1 << 14  # words per slice of _shared_symbols: 128 KiB per array
+
+
 def _shared_symbols(x: np.ndarray, y: np.ndarray, w: int, b: int) -> np.ndarray:
     """How many leading symbols the packed words ``x`` and ``y`` share, w if equal.
 
-    Read off the highest set bit of ``x ^ y``.  Only 32-bit halves are
-    converted to float, which holds them without rounding, so the bit
-    position is exact.
+    Read off the bit length of ``x ^ y``: smearing its highest set bit into
+    every bit below leaves that many ones.  The words use only their low
+    w * b bits, so no difference is longer.  Returns uint8.  The work runs
+    in slices that stay in cache, and its temporaries are only that large.
     """
-    diff = x ^ y
-    half = diff.astype(np.uint32)
-    diff >>= 32
-    top = diff > 0
-    high = diff.astype(np.uint32)
-    del diff  # the halves take half its memory
-    np.copyto(half, high, where=top)
-    del high
-    bits = np.frexp(half)[1]
-    bits[top] += 32
-    return (w * b - bits) // b
+    out = np.empty(x.size, np.uint8)
+    for lo in range(0, x.size, _SLICE):
+        diff = x[lo : lo + _SLICE] ^ y[lo : lo + _SLICE]
+        shifted = np.empty_like(diff)
+        for s in (1, 2, 4, 8, 16, 32):
+            np.right_shift(diff, s, out=shifted)
+            diff |= shifted
+        out[lo : lo + _SLICE] = (w * b - np.bitwise_count(diff)) // b
+    return out
 
 
 def _run_heads(*keys: np.ndarray) -> np.ndarray:
@@ -297,8 +300,10 @@ def _double(sa: np.ndarray, level: np.ndarray, rank: np.ndarray, slots: np.ndarr
     key = level[suffixes].astype(np.int64)
     key *= level.size
     key += level[suffixes + h]
-    suffixes = suffixes[np.argsort(key)]
+    order = np.argsort(key)
     del key  # regrouping gathers the IDs again, in half the memory of the keys
+    suffixes = suffixes[order]
+    del order
     sa[slots] = suffixes
     return _regroup(rank, suffixes, slots, _run_heads(level[suffixes], level[suffixes + h]))
 
@@ -318,7 +323,11 @@ def _lift(levels: list, sa: np.ndarray, common: np.ndarray, words: np.ndarray,
     while levels:
         level = levels.pop()
         lifted[level[a + lifted] == level[c + lifted]] += w << len(levels)
-    common[pairs] = lifted + _shared_symbols(words[a + lifted], words[c + lifted], w, b)
+    del level
+    a += lifted
+    c += lifted
+    lifted += _shared_symbols(words[a], words[c], w, b)
+    common[pairs] = lifted
 
 
 class _SuffixIndex(NamedTuple):
@@ -387,7 +396,9 @@ def _repeat_reach(rank: np.ndarray, lcp: np.ndarray) -> np.ndarray:
     order, so the k-gram at i occurs at least twice exactly when
     ``reach[i] >= k``.
     """
-    return np.maximum(lcp, np.append(lcp[1:], 0))[rank]
+    larger = lcp.copy()
+    np.maximum(larger[:-1], lcp[1:], out=larger[:-1])
+    return larger[rank]
 
 
 def _range_reach(rank: np.ndarray, lcp: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -508,7 +519,8 @@ def _sweep(code: SymbolCode, index: _SuffixIndex, lo: int, hi: int, reach: np.nd
         return best, None
     order, below = _reach_order(reach, kcap)
     rank_len = _rank_length_table(n)
-    cum_rank_len = np.concatenate(([0], np.cumsum(rank_len)))
+    cum_rank_len = np.zeros(n + 1, np.int64)
+    np.cumsum(rank_len, dtype=np.int64, out=cum_rank_len[1:])
 
     for k in range(1, kcap + 1):
         if (k + 1) * fl >= best:
@@ -537,7 +549,9 @@ def _sweep(code: SymbolCode, index: _SuffixIndex, lo: int, hi: int, reach: np.nd
                 continue
             start = lo + l
             if k <= w:
-                keys = (words[start : start + p * k : k] >> shift).astype(key_dtype, copy=False)
+                # shifted straight into the key type: no 64-bit temporary
+                keys = np.right_shift(words[start : start + p * k : k], shift,
+                                      out=np.empty(p, key_dtype), casting="unsafe")
                 keys.sort()
             else:
                 if classes is None:

@@ -3,11 +3,13 @@
 import csv
 import io
 import os
+import sys
+import time
 
 import numpy as np
 import pytest
 
-from minblock import transform
+from minblock import SymbolCode, cli, minimal_block_transform, transform
 from minblock.cli import (
     ExperimentRecord,
     main,
@@ -16,6 +18,7 @@ from minblock.cli import (
     records_to_csv,
     run_sweep,
 )
+from minblock.sources import alphabet_size, realize
 
 
 def run(args):
@@ -102,6 +105,13 @@ def test_parse_grid():
         parse_grid("5..9")
     with pytest.raises(UsageError):
         parse_grid("30,20")
+    # a negative exponent and a repeated length are bad grids too
+    with pytest.raises(UsageError, match="bad grid"):
+        parse_grid("2^-1..2^3")
+    with pytest.raises(UsageError, match="increasing"):
+        parse_grid("4,4,8")
+    assert main(["sweep", "--source", "bernoulli:0.5", "--csv", "x.csv",
+                 "--n-grid", "2^-1..2^3"]) == 1
 
 
 def test_parse_source_kinds(tmp_path):
@@ -171,6 +181,125 @@ def test_sweep_skips_oversized_n(tmp_path, capsys):
     rows = list(csv.DictReader(io.StringIO(csv_path.read_text())))
     assert [int(r["n"]) for r in rows] == [64, 128]
     assert "skipping n=4096" in capsys.readouterr().err
+
+
+def _rows(records):
+    return [(r.source, r.n, r.shift, r.rules, r.block_len, r.code_bits, r.bits_per_symbol)
+            for r in records]
+
+
+def _serial_rows(specs, ns):
+    """The sweep's rows from one transform after another, in grid order."""
+    rows = []
+    for spec in specs:
+        stream = realize(spec, max(ns))
+        code = SymbolCode(max(2, alphabet_size(spec, stream)))
+        for n in ns:
+            if n <= stream.size:
+                r = minimal_block_transform(code, stream[:n])
+                rows.append((spec.label, n, r.shift, r.num_rules, r.block_len, r.code_bits,
+                             r.code_bits / n))
+    return rows
+
+
+def _record_calls(monkeypatch, transform_fn=None):
+    """Patch the sweep's transform to record (n, u, start, end) of each call."""
+    calls = []
+    inner = transform_fn or cli.minimal_block_transform
+
+    def recorded(code, u, **kwargs):
+        start = time.perf_counter()
+        try:
+            return inner(code, u, **kwargs)
+        finally:
+            calls.append((len(u), u, start, time.perf_counter()))
+
+    monkeypatch.setattr(cli, "minimal_block_transform", recorded)
+    return calls
+
+
+def _sleepy(seconds):
+    """The transform, after a pause that makes concurrent calls overlap."""
+    def transform_fn(code, u, **kwargs):
+        time.sleep(seconds)
+        return minimal_block_transform(code, u, **kwargs)
+
+    return transform_fn
+
+
+def test_concurrent_sweep_rows_match_a_serial_loop(tmp_path, monkeypatch):
+    # more workers than CPUs and a short switch interval, so that a row lost
+    # or written to the wrong place by the scheduler would show
+    src = tmp_path / "small.txt"
+    text = b"the cat sat on the mat; the rat sat on the cat. " * 30
+    src.write_bytes(text)
+    specs = [parse_source(f"corpus:{src}", seed=0), parse_source("bernoulli:0.5", seed=2),
+             parse_source(f"permuted-corpus:{src}", seed=3)]
+    ns = [100, 256, 700, 1000, 2000]  # 2000 is beyond the corpus file
+    warnings = []
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        records = run_sweep(specs, ns, warn=warnings.append)
+    finally:
+        sys.setswitchinterval(interval)
+    assert _rows(records) == _serial_rows(specs, ns)
+    assert warnings == [
+        f"skipping n=2000 for {kind}:{src}: source has only {len(text)} symbols"
+        for kind in ("corpus", "permuted-corpus")
+    ]
+
+
+def test_concurrent_transforms_stay_within_the_budget(monkeypatch):
+    # the n of the transforms running at once sum to at most 3/2 of the
+    # largest n; the pause makes transforms that may overlap do so
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 4)
+    calls = _record_calls(monkeypatch, _sleepy(0.05))
+    specs = [parse_source("bernoulli:0.5", seed=s) for s in (1, 2)]
+    ns = [256, 512, 1024, 2048]
+    records = run_sweep(specs, ns)
+    assert [(r.source, r.n) for r in records] == [(s.label, n) for s in specs for n in ns]
+    loads = [sum(m for m, _, s, e in calls if s <= start < e) for _, _, start, _ in calls]
+    assert max(loads) <= 3 * max(ns) // 2
+    assert max(loads) > max(ns)  # some transforms did run at once
+
+
+def test_one_cpu_runs_the_largest_first_one_at_a_time(monkeypatch):
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+    calls = _record_calls(monkeypatch)
+    specs = [parse_source("bernoulli:0.5", seed=s) for s in (1, 2)]
+    ns = [256, 512, 1024]
+    run_sweep(specs, ns)
+    streams = [realize(spec, max(ns)) for spec in specs]
+    started = sorted(calls, key=lambda call: call[2])
+    for (_, _, _, end), (_, _, start, _) in zip(started, started[1:]):
+        assert end <= start
+    # largest n first, ties in row order
+    order = [(n, next(i for i, x in enumerate(streams) if np.array_equal(x[:n], u)))
+             for n, u, _, _ in started]
+    assert order == [(n, i) for n in sorted(ns, reverse=True) for i in range(len(specs))]
+
+
+@pytest.mark.parametrize("cpus, started", [(1, [1024]), (2, [1024, 512])])
+def test_a_failed_transform_stops_the_sweep(monkeypatch, cpus, started):
+    # the transform at n = 1024 raises; no transform starts after that, and
+    # the error propagates once the one running beside it (n = 512 with two
+    # CPUs; 256 does not fit the budget beside both) has finished
+    def failing(code, u, **kwargs):
+        if len(u) == 1024:
+            time.sleep(0.02)
+            raise RuntimeError("transform failed")
+        return _sleepy(0.1)(code, u, **kwargs)
+
+    monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+    calls = _record_calls(monkeypatch, failing)
+    with pytest.raises(RuntimeError, match="transform failed"):
+        run_sweep([parse_source("bernoulli:0.5", seed=1)], [256, 512, 1024])
+    returned = time.perf_counter()
+    assert [n for n, *_ in sorted(calls, key=lambda call: call[2])] == started
+    raised = next(end for n, _, _, end in calls if n == 1024)
+    assert all(start <= raised and end <= returned for _, _, start, end in calls)
 
 
 def test_mi_report(tmp_path, capsys):

@@ -36,9 +36,11 @@ from minblock.transform import (
     _rank_length_table,
     _reach_order,
     _repeat_reach,
+    _shared_symbols,
     _suffix_index,
     _sweep,
 )
+from minblock.codes import rank_length
 
 from reference import reference_min_bits
 
@@ -245,6 +247,34 @@ def test_suffix_index_at_packing_boundaries(top):
         lcp = _assert_index_exact(u, m)
         if repeat is not None:
             assert int(lcp.max()) == repeat
+
+
+def test_shared_symbols_read_the_bit_length_of_the_difference():
+    # against int.bit_length of the XOR: equal words, every single-bit
+    # difference and random words that share a random number of leading
+    # bits, at each packing of b bits per symbol; the random words of b = 8
+    # span three slices
+    rng = np.random.Generator(np.random.Philox(9))
+    for b in range(1, 65):
+        w = 1 << ((64 // b).bit_length() - 1)
+        count = 2 * transform._SLICE + 3 if b == 8 else 300
+        x, noise = (np.frombuffer(rng.bytes(8 * count), np.uint64) >> np.uint64(64 - w * b)
+                    for _ in range(2))
+        noise >>= rng.integers(0, w * b, count).astype(np.uint64)
+        single_bits = np.uint64(1) << np.arange(w * b, dtype=np.uint64)
+        y = np.concatenate([x[:1], x[1 : w * b + 1] ^ single_bits, x[w * b + 1 :] ^ noise[w * b + 1 :]])
+        got = _shared_symbols(x, y, w, b)
+        want = [(w * b - (int(p) ^ int(q)).bit_length()) // b for p, q in zip(x, y)]
+        assert got.tolist() == want, b
+        assert got[0] == w
+
+
+def test_rank_length_table_is_exact_in_one_byte():
+    assert rank_length(2**53) < 256  # the longest offset rank_lengths takes
+    for j in sorted({0, 1, 2, 3} | {2**k + d for k in range(1, 17) for d in (-1, 0, 1)}):
+        table = _rank_length_table(j)
+        assert table.dtype == np.uint8
+        assert table.tolist() == [rank_length(i + 1) for i in range(j)]
 
 
 @pytest.mark.parametrize("top", PACKING_TOPS)
