@@ -101,7 +101,10 @@ def _parse_probs(text: str) -> tuple[float, ...]:
 
 
 def parse_source(spec: str, seed: int) -> SourceSpec:
-    """Parse a ``kind:params`` source description used by sweep and gen."""
+    """Parse a ``kind:params`` source description used by sweep and gen.
+
+    ``SourceSpec`` checks the kind and that a corpus has a path.
+    """
     kind, _, rest = spec.partition(":")
     if kind == "bernoulli":
         return SourceSpec(kind="bernoulli", probs=_parse_probs(rest or "0.5"),
@@ -110,15 +113,11 @@ def parse_source(spec: str, seed: int) -> SourceSpec:
         try:
             with open(rest) as fh:
                 table = json.load(fh)
-        except json.JSONDecodeError as exc:
+            rows = tuple(tuple(float(x) for x in row) for row in table["transitions"])
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise UsageError(f"bad markov table {rest!r}: {exc}") from exc
-        rows = tuple(tuple(float(x) for x in row) for row in table["transitions"])
         return SourceSpec(kind="markov", transitions=rows, seed=seed, label=spec)
-    if kind in {"corpus", "permuted-corpus"}:
-        if not rest:
-            raise UsageError(f"source {spec!r} needs a file path")
-        return SourceSpec(kind=kind, path=rest, seed=seed, label=spec)
-    raise UsageError(f"unknown source kind {kind!r}")
+    return SourceSpec(kind=kind, path=rest, seed=seed, label=spec)
 
 
 def parse_grid(text: str) -> list[int]:
@@ -151,9 +150,9 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _sweep_row(label: str, code: SymbolCode, stream, n: int, kmax) -> ExperimentRecord:
+def _sweep_row(label: str, code: SymbolCode, stream, n: int) -> ExperimentRecord:
     start = time.perf_counter()
-    result = minimal_block_transform(code, stream[:n], kmax=kmax)
+    result = minimal_block_transform(code, stream[:n])
     wall = time.perf_counter() - start
     return ExperimentRecord(
         source=label,
@@ -167,7 +166,7 @@ def _sweep_row(label: str, code: SymbolCode, stream, n: int, kmax) -> Experiment
     )
 
 
-def run_sweep(specs, ns, *, kmax=None, warn=None) -> list[ExperimentRecord]:
+def run_sweep(specs, ns, *, warn=None) -> list[ExperimentRecord]:
     """Transform each source prefix on the grid and collect the records.
 
     Lengths beyond a source's size are skipped, each reported via ``warn``
@@ -191,7 +190,7 @@ def run_sweep(specs, ns, *, kmax=None, warn=None) -> list[ExperimentRecord]:
         code = SymbolCode(max(2, alphabet_size(spec, stream)))
         for n in ns:
             if n <= stream.size:
-                rows.append((spec.label, code, stream, n, kmax))
+                rows.append((spec.label, code, stream, n))
             elif warn:
                 warn(f"skipping n={n} for {spec.label}: source has only "
                      f"{stream.size} symbols")
@@ -264,45 +263,41 @@ def _sweep_svgs(records, labels, prefix: str) -> list[str]:
     return paths
 
 
+def _alphabet(args) -> list[int]:
+    """The first-appearance alphabet of ``--alphabet-from-file``, else all 256 bytes."""
+    if args.alphabet_from_file:
+        return first_appearance_alphabet(_read_bytes(args.alphabet_from_file))
+    return list(range(256))
+
+
 def _cmd_encode(args) -> int:
     data = _read_bytes(args.input)
-    if args.alphabet_from_file:
-        alphabet = first_appearance_alphabet(_read_bytes(args.alphabet_from_file))
-        symbols = map_bytes_to_symbols(data, alphabet)
-        m = max(2, len(alphabet))
-    else:
-        symbols = np.frombuffer(data, dtype=np.uint8).astype(np.uint16) + 1
-        m = 256
-    _write_atomic(args.output, compress(symbols, m, kmax=args.kmax_override))
+    alphabet = _alphabet(args)
+    symbols = map_bytes_to_symbols(data, alphabet)
+    _write_atomic(args.output, compress(symbols, max(2, len(alphabet)),
+                                        kmax=args.kmax_override))
     return 0
 
 
 def _cmd_decode(args) -> int:
     symbols, m = decompress(_read_bytes(args.input), max_len=_DECODE_LIMIT)
-    if args.alphabet_from_file:
-        alphabet = first_appearance_alphabet(_read_bytes(args.alphabet_from_file))
-        if symbols.size and int(symbols.max()) > len(alphabet):
-            raise UsageError("alphabet file is too small for this payload")
-        table = np.array(alphabet or [0], dtype=np.uint8)
-        out = table[np.asarray(symbols, dtype=np.int64) - 1].tobytes()
-    elif m == 256:
-        out = (np.asarray(symbols, dtype=np.uint16) - 1).astype(np.uint8).tobytes()
-    else:
+    if not args.alphabet_from_file and m != 256:
         raise UsageError(
             "payload uses a custom alphabet; pass --alphabet-from-file with "
             "the file the encoder used"
         )
-    _write_atomic(args.output, out)
+    alphabet = _alphabet(args)
+    if symbols.size and int(symbols.max()) > len(alphabet):
+        raise UsageError("alphabet file is too small for this payload")
+    table = np.array(alphabet or [0], dtype=np.uint8)
+    _write_atomic(args.output, table[np.asarray(symbols, dtype=np.int64) - 1].tobytes())
     return 0
 
 
 def _cmd_sweep(args) -> int:
     specs = [parse_source(s, args.seed) for s in args.source]
     ns = parse_grid(args.n_grid)
-    records = run_sweep(
-        specs, ns, kmax=args.kmax_override,
-        warn=lambda msg: print(f"warning: {msg}", file=sys.stderr),
-    )
+    records = run_sweep(specs, ns, warn=lambda msg: print(f"warning: {msg}", file=sys.stderr))
     _write_atomic(args.csv, records_to_csv(records).encode())
     if args.svg:
         for path in _sweep_svgs(records, [s.label for s in specs], args.svg):
@@ -396,7 +391,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-grid", default=_DEFAULT_GRID,
                    help="2^a..2^b or comma list (default %(default)s)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kmax-override", type=int, default=None)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("mi", help="pointwise mutual information of two files")
@@ -433,10 +427,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

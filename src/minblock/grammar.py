@@ -237,52 +237,35 @@ def is_block_shaped(g: DictionaryGrammar) -> bool:
     return _shape_error(g, k, head, tail) is None
 
 
-def _rule_lengths(m: int, flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Terminal count of the expansion of every rule, each capped at 2**62.
+def _rule_table(m: int, flat: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Expansion length of every rule, capped at 2**62, and the symbol it stands for.
 
-    A rule of terminals alone has its own length.  The rules that cite
-    nonterminals (only the primary rule of a block grammar) are summed in
-    rule order.
+    A rule whose only nonempty element is e stands for what e stands for, and
+    any other rule for its own symbol.  Rules of terminals alone are handled
+    in arrays.  The rules that cite nonterminals (only the primary rule of a
+    block grammar) are visited in rule order, one step each, so what every
+    element stands for is known when its rule is reached.
     """
     lengths = offsets[1:] - offsets[:-1]
+    alias = np.arange(m + 1, m + offsets.size, dtype=np.int64)
+    unary = np.flatnonzero(lengths == 1)
+    alias[unary] = flat[offsets[unary]]
     cites = np.zeros(flat.size + 1, dtype=np.int64)
     np.cumsum(flat > m, out=cites[1:])
     for i in np.flatnonzero(cites[offsets[1:]] - cites[offsets[:-1]]).tolist():
         body = flat[offsets[i] : offsets[i + 1]]
-        part = lengths[body[body > m] - (m + 1)]
+        refs = body > m
+        part = lengths[body[refs] - (m + 1)]
         # the int64 sum is exact unless the float sum says it may have wrapped
         if part.sum(dtype=np.float64) < _LENGTH_CAP:
             lengths[i] = min(body.size - part.size + int(part.sum()), _LENGTH_CAP)
         else:
             lengths[i] = _LENGTH_CAP
-    return lengths
-
-
-def _skip_unary(m: int, flat: np.ndarray, offsets: np.ndarray,
-                r: int) -> tuple[np.ndarray, int]:
-    """Cite what each one-element rule stands for instead of the rule itself.
-
-    A rule of one element stands for that element, and any other rule for
-    its own symbol.  Chains of one-element rules are followed by pointer
-    doubling, so a chain of d rules takes about log2(d) array passes.
-    Returns ``flat`` so rewritten (a copy) and the symbol ``r`` stands for.
-    """
-    unary = np.flatnonzero(offsets[1:] - offsets[:-1] == 1)
-    if not unary.size:
-        return flat, r
-    alias = np.arange(m + 1, m + offsets.size, dtype=np.int64)
-    alias[unary] = flat[offsets[unary]]
-    while True:
-        cited = alias > m
-        step = alias.copy()
-        step[cited] = alias[alias[cited] - (m + 1)]
-        if np.array_equal(step, alias):
-            break
-        alias = step
-    flat = flat.copy()
-    cited = flat > m
-    flat[cited] = alias[flat[cited] - (m + 1)]
-    return flat, int(alias[r - m - 1])
+        alias[i] = m + 1 + i
+        if body.size - part.size + np.count_nonzero(part) == 1:
+            e = int(body[~refs][0]) if part.size < body.size else int(body[refs][part.argmax()])
+            alias[i] = alias[e - (m + 1)] if e > m else e
+    return lengths, alias
 
 
 def expand(g: DictionaryGrammar, r: int, max_len: int | None = None) -> np.ndarray:
@@ -291,10 +274,12 @@ def expand(g: DictionaryGrammar, r: int, max_len: int | None = None) -> np.ndarr
     The length of every rule's expansion is counted first, so that
     ``max_len`` refuses grammars whose expansion blows up (possible for
     hand-built or hostile rule tables; block grammars are linear) with
-    :class:`ExpansionLimitError` before anything is built.  Then citations
-    of rules that expand to nothing are dropped and chains of one-element
-    rules are cut short, so that every rule still cited has at least two
-    elements, each with a nonempty expansion.  The expansion tree is then
+    :class:`ExpansionLimitError` before anything is built; the same pass
+    over the rules finds what each one stands for.  Then citations of rules
+    that expand to nothing are dropped, and a citation of a rule with one
+    nonempty element becomes a citation of what that element stands for, so
+    that every rule still cited has at least two elements, each with a
+    nonempty expansion.  The expansion tree is then
     walked one level per pass: each pass writes the symbols of the rules
     cited at that level to the output, where each one's expansion starts,
     and passes on the rules among them.  No pass holds more elements than
@@ -310,7 +295,7 @@ def expand(g: DictionaryGrammar, r: int, max_len: int | None = None) -> np.ndarr
         return np.array([r], dtype=dtype)
     offsets = g.offsets[: r - m + 1]
     flat = g.symbols[: offsets[-1]]
-    lengths = _rule_lengths(m, flat, offsets)
+    lengths, alias = _rule_table(m, flat, offsets)
     total = int(lengths[-1])
     if max_len is not None and total > max_len:
         raise ExpansionLimitError(
@@ -328,14 +313,17 @@ def expand(g: DictionaryGrammar, r: int, max_len: int | None = None) -> np.ndarr
         kept = np.zeros(flat.size + 1, dtype=np.int64)
         np.cumsum(keep, out=kept[1:])
         offsets = kept[offsets]
-        flat, size = flat[keep], size[keep]
-    flat, root = _skip_unary(m, flat, offsets, r)
+        flat, size, cited = flat[keep], size[keep], cited[keep]
+    if (alias != np.arange(m + 1, m + offsets.size)).any():
+        flat = flat.copy()
+        flat[cited] = alias[flat[cited] - (m + 1)]
+    root = int(alias[-1])
     # where each element's expansion starts within the rules laid end to end;
     # the int64 sums wrap only past rules longer than the output, which no
     # rule reachable from r is, so the differences taken below are exact
     before = np.cumsum(size)
     before -= size
-    del cited, keep, size, lengths
+    del cited, keep, size, lengths, alias
 
     if root <= m:
         out[0] = root
@@ -492,14 +480,14 @@ def _walk(lengths: bytearray, nbits: int) -> tuple[np.ndarray, int]:
     return np.frombuffer(starts, dtype=np.int64), pos
 
 
-def _windows(buf: np.ndarray, pos: np.ndarray) -> np.ndarray:
+def _windows(buf: np.ndarray, words: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """The 64 bits from each bit position ``pos`` on, MSB first, as uint64.
 
-    ``buf`` must hold nine bytes from every ``pos >> 3`` on.
+    ``buf`` must hold nine bytes from every ``pos >> 3`` on, and ``words[q]``
+    is the big-endian word of its bytes q..q+7.
     """
     q = pos >> 3
     shift = (pos & 7).astype(np.uint64)
-    words = np.lib.stride_tricks.sliding_window_view(buf, 8).view(">u8")[:, 0]
     return (words[q].astype(np.uint64) << shift) | (buf[q + 8] >> (8 - shift))
 
 
@@ -548,6 +536,7 @@ def decode_grammar(code: SymbolCode, bits: BitString | BitReader) -> DictionaryG
     m = code.m
     fl = code.fixed_len
     buf = np.frombuffer(data + bytes(9), dtype=np.uint8)
+    words = np.lib.stride_tricks.sliding_window_view(buf, 8).view(">u8")[:, 0]
     starts, end = _walk(_codeword_lengths(buf, nbits, fl), nbits)
     if end != nbits:
         bad_at = int(starts[-1])  # this codeword is cut off or unassigned
@@ -557,16 +546,16 @@ def decode_grammar(code: SymbolCode, bits: BitString | BitReader) -> DictionaryG
 
     # the walk ends a chain at a terminator only by chance: find the first
     # terminator (value 0) or unassigned fixed value (above m + 1)
-    value = _top(_windows(buf, starts), fl)  # n + 1 for fixed codewords
+    value = _top(_windows(buf, words, starts), fl)  # n + 1 for fixed codewords
     fixed = value < 1 << (fl - 1)
     halts = np.flatnonzero(fixed & ((value == 0) | (value > m + 1)))
     stop = int(halts[0]) if halts.size else starts.size
     sep = fixed[:stop] & (value[:stop] == 1)
     delta = starts[:stop][~fixed[:stop]]
-    head = _windows(buf, delta) << np.uint64(2)  # after 10: ell zeros, nbits, low bits
+    head = _windows(buf, words, delta) << np.uint64(2)  # after 10: ell zeros, nbits, low bits
     ell = 6 - bit_lengths(_top(head, 6))
     low = _top(head << ell.astype(np.uint64), ell + 1) - 1  # nbits - 1
-    j = (1 << low) | _top(_windows(buf, delta + 3 + 2 * ell), low)
+    j = (1 << low) | _top(_windows(buf, words, delta + 3 + 2 * ell), low)
     # an element of the rule after s separators must be below m + s + 1
     before = (np.cumsum(sep) - sep)[~fixed[:stop]]
     forward = np.flatnonzero(j > before)

@@ -29,7 +29,6 @@ class EnumerationBudget:
 
     max_n: int = 10
     max_distinct: int = 6  # identifier assignments enumerated: max_distinct!
-    max_k: int | None = None
 
 
 def encode_by_codeword(code: SymbolCode, g: DictionaryGrammar) -> BitString:
@@ -82,8 +81,7 @@ def brute_force_min_block(code: SymbolCode, u, budget: EnumerationBudget | None 
     m = code.m
 
     best = len(encode_by_codeword(code, DictionaryGrammar(m, (tuple(u),))))
-    kcap = n if budget.max_k is None else min(n, budget.max_k)
-    for k in range(1, kcap + 1):
+    for k in range(1, n + 1):
         for l in range(0, min(k, n - k + 1)):
             p = (n - l) // k
             head = u[:l]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from html import escape
 
 from .analysis import line_fit
 
@@ -15,6 +16,11 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _W, _H = 720, 520
 _ML, _MR, _MT, _MB = 70, 20, 44, 56
+
+
+def _text(attrs: str, body: str) -> str:
+    """A ``<text>`` element; its body is escaped, so any label is well-formed XML."""
+    return f"<text {attrs}>{escape(body, quote=False)}</text>"
 
 
 @dataclass(frozen=True)
@@ -53,8 +59,8 @@ def render_loglog_svg(series: list[Series], title: str, xlabel: str, ylabel: str
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>',
+        _text(f'x="{_W / 2:.1f}" y="24" text-anchor="middle" '
+              'font-family="sans-serif" font-size="16"', title),
     ]
 
     ax_color = "#333333"
@@ -78,8 +84,8 @@ def render_loglog_svg(series: list[Series], title: str, xlabel: str, ylabel: str
             f'stroke="{ax_color}"/>'
         )
         out.append(
-            f'<text x="{x:.1f}" y="{_H - _MB + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">2^{t}</text>'
+            _text(f'x="{x:.1f}" y="{_H - _MB + 20}" text-anchor="middle" '
+                  'font-family="sans-serif" font-size="11"', f"2^{t}")
         )
     for t in ticks(y_lo, y_hi):
         y = sy(t)
@@ -88,17 +94,17 @@ def render_loglog_svg(series: list[Series], title: str, xlabel: str, ylabel: str
             f'stroke="{ax_color}"/>'
         )
         out.append(
-            f'<text x="{_ML - 9}" y="{y + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">2^{t}</text>'
+            _text(f'x="{_ML - 9}" y="{y + 4:.1f}" text-anchor="end" '
+                  'font-family="sans-serif" font-size="11"', f"2^{t}")
         )
     out.append(
-        f'<text x="{(_ML + _W - _MR) / 2:.1f}" y="{_H - 14}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{xlabel}</text>'
+        _text(f'x="{(_ML + _W - _MR) / 2:.1f}" y="{_H - 14}" text-anchor="middle" '
+              'font-family="sans-serif" font-size="13"', xlabel)
     )
     out.append(
-        f'<text x="18" y="{(_MT + _H - _MB) / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {(_MT + _H - _MB) / 2:.1f})">{ylabel}</text>'
+        _text(f'x="18" y="{(_MT + _H - _MB) / 2:.1f}" text-anchor="middle" '
+              'font-family="sans-serif" font-size="13" '
+              f'transform="rotate(-90 18 {(_MT + _H - _MB) / 2:.1f})"', ylabel)
     )
 
     for idx, s in enumerate(series):
@@ -125,8 +131,8 @@ def render_loglog_svg(series: list[Series], title: str, xlabel: str, ylabel: str
         )
         slope_txt = f"slope {s.slope:.3f}" if s.slope is not None else "slope n/a"
         out.append(
-            f'<text x="{_ML + 28}" y="{ly + 2}" font-family="sans-serif" '
-            f'font-size="12">{s.label} ({slope_txt})</text>'
+            _text(f'x="{_ML + 28}" y="{ly + 2}" font-family="sans-serif" '
+                  'font-size="12"', f"{s.label} ({slope_txt})")
         )
 
     out.append("</svg>")

@@ -464,15 +464,6 @@ def _kgram_classes(lcp: np.ndarray, k: int) -> np.ndarray:
     return np.cumsum(lcp < k, dtype=lcp.dtype)
 
 
-def _run_lengths(change: np.ndarray) -> np.ndarray:
-    """Lengths of the runs of equal values in a sorted array ``a``.
-
-    ``change`` is ``a[1:] != a[:-1]``.
-    """
-    bounds = np.flatnonzero(np.concatenate(([True], change, [True])))
-    return bounds[1:] - bounds[:-1]
-
-
 def _price(fl: int, k: int, blocks: int, runs: int, refs: int) -> int:
     """Bits of a block grammar: ``blocks`` rules of k terminals, ``runs``
     terminals in the primary rule, and ``refs`` bits of rule references.
@@ -561,12 +552,13 @@ def _sweep(code: SymbolCode, index: _SuffixIndex, lo: int, hi: int, reach: np.nd
                 places = rank[start : start + p * k : k].copy()
                 places.sort()
                 keys = classes[places]
-            change = keys[1:] != keys[:-1]
-            distinct = 1 + int(np.count_nonzero(change))
+            head = _run_heads(keys)
+            distinct = int(np.count_nonzero(head)) - 1
             # all but the first block of each class repeat an earlier one
             if _floor(fl, k, p, p - distinct, runs, cum_rank_len) >= best:
                 continue
-            counts = _run_lengths(change)
+            heads = np.flatnonzero(head)
+            counts = heads[1:] - heads[:-1]
             counts[::-1].sort()
             cost = _price(fl, k, distinct, runs, int(np.dot(counts, rank_len[:distinct])))
             if cost < best:

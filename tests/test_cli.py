@@ -363,3 +363,66 @@ def test_encode_kmax_override(tmp_path):
     back = tmp_path / "b.bin"
     assert run(["decode", out, back]) == 0
     assert back.read_bytes() == src.read_bytes()
+
+
+def test_sweep_has_no_kmax_override(tmp_path, capsys):
+    # a capped row would be an upper bound in columns that report the minimum
+    assert main(["sweep", "--source", "bernoulli:0.5", "--csv", str(tmp_path / "r.csv"),
+                 "--n-grid", "64", "--kmax-override", "2"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unrecognized arguments: --kmax-override")
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_encode_without_alphabet_file_maps_byte_b_to_symbol_b_plus_1(tmp_path):
+    rng = np.random.Generator(np.random.Philox(8))
+    data = bytes(range(256)) + rng.integers(0, 256, 3000, dtype=np.uint8).tobytes() * 2
+    src = tmp_path / "all-bytes.bin"
+    src.write_bytes(data)
+    enc = tmp_path / "all-bytes.mblk"
+    assert run(["encode", src, enc]) == 0
+    want = transform.compress(np.frombuffer(data, np.uint8).astype(np.uint16) + 1, 256)
+    assert enc.read_bytes() == want
+    back = tmp_path / "back.bin"
+    assert run(["decode", enc, back]) == 0
+    assert back.read_bytes() == data
+
+
+@pytest.mark.parametrize("table", ['{"rows": [[1.0]]}', '{"transitions": 3}', "[1, 2]",
+                                   '{"transitions": [1, 2]}', '{"transitions": [["a"]]}',
+                                   "{not json"])
+def test_a_malformed_markov_table_is_a_usage_error(tmp_path, capsys, table):
+    path = tmp_path / "T.json"
+    path.write_text(table)
+    for argv in (["gen", f"markov:{path}", tmp_path / "g.bin", "--n", 16],
+                 ["sweep", "--source", f"markov:{path}", "--csv", tmp_path / "r.csv",
+                  "--n-grid", "16"]):
+        assert run(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: bad markov table '{path}'")
+    assert not (tmp_path / "g.bin").exists() and not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("source, message", [("wat:1", "unknown source kind 'wat'"),
+                                             ("corpus:", "corpus source needs a file path"),
+                                             ("permuted-corpus", "permuted-corpus source needs")])
+def test_a_bad_source_is_one_error_line(tmp_path, capsys, source, message):
+    with pytest.raises(ValueError, match=message):
+        parse_source(source, seed=0)
+    assert run(["sweep", "--source", source, "--csv", tmp_path / "r.csv"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")
+
+
+def test_sweep_svgs_escape_the_source_label(tmp_path):
+    import xml.etree.ElementTree as ET
+
+    src = tmp_path / "a&b<c.txt"
+    src.write_bytes(b"the cat sat on the mat; " * 20)
+    label = f"corpus:{src}"
+    assert run(["sweep", "--source", label, "--csv", tmp_path / "r.csv",
+                "--svg", tmp_path / "fig", "--n-grid", "64,128,256"]) == 0
+    for suffix in ("-rules.svg", "-block-length.svg"):
+        root = ET.parse(tmp_path / ("fig" + suffix)).getroot()
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert any(t.startswith(f"{label} (slope ") for t in texts)
