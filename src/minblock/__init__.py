@@ -40,8 +40,6 @@ from .transform import (
     minimal_block_transform,
 )
 from .analysis import (
-    GrowthSeries,
-    ProbabilityTable,
     block_entropy,
     empirical_block_distribution,
     hilberg_exponent,
@@ -67,9 +65,7 @@ __all__ = [
     "CorruptionError",
     "DictionaryGrammar",
     "ExpansionLimitError",
-    "GrowthSeries",
     "NonBlockGrammarWarning",
-    "ProbabilityTable",
     "RankedBlockTable",
     "SourceSpec",
     "SymbolCode",

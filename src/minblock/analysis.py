@@ -7,57 +7,12 @@ sanity check used throughout the test suite.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
-
 import numpy as np
 
 from .codes import SymbolCode
 from .transform import TransformResult, _as_symbols, _split_transforms
 # looked up here by the traced benchmark run (TRACED in perfbench/workloads.py)
 from .transform import minimal_block_transform  # noqa: F401
-
-
-@dataclass(frozen=True)
-class GrowthSeries:
-    """(n, statistic) pairs at increasing n, input to the growth regression."""
-
-    ns: tuple[int, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        ns = tuple(int(n) for n in self.ns)
-        values = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "ns", ns)
-        object.__setattr__(self, "values", values)
-        if len(ns) != len(values):
-            raise ValueError("ns and values must have equal length")
-        if len(ns) < 2:
-            raise ValueError("a growth series needs at least two points")
-        if any(n < 1 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ValueError("ns must be strictly increasing and >= 1")
-        if any(v < 0 for v in values):
-            raise ValueError("values must be nonnegative")
-
-
-@dataclass(frozen=True)
-class ProbabilityTable:
-    """Probabilities of disjoint events; they may sum to less than one."""
-
-    probs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        probs = tuple(float(p) for p in self.probs)
-        object.__setattr__(self, "probs", probs)
-        _validate_probs(probs)
-
-
-def _validate_probs(probs) -> None:
-    arr = np.asarray(probs, dtype=float)
-    if arr.size and (arr.min() < -1e-12 or arr.max() > 1 + 1e-12):
-        raise ValueError("probabilities must lie in [0, 1]")
-    if arr.sum() > 1 + 1e-9:
-        raise ValueError("probabilities of disjoint events must sum to at most 1")
 
 
 def pointwise_mi(code: SymbolCode, u, v) -> int:
@@ -99,11 +54,11 @@ def line_fit(xs, ys) -> tuple[float, float]:
     return float(slope), float(intercept)
 
 
-def hilberg_exponent(series, *, min_n: int | None = None, max_n: int | None = None) -> float:
-    """Log-log regression slope of a growth series, clipped below at zero.
+def hilberg_exponent(pairs) -> float:
+    """Log-log regression slope of (n, value) pairs, clipped below at zero.
 
-    Points with value 0 are dropped; the fit window may be narrowed with
-    ``min_n``/``max_n``.  Raises ValueError with fewer than two usable
+    The n must be strictly increasing and at least 1.  Points with value 0
+    or less are dropped.  Raises ValueError with fewer than two usable
     points.
 
     The value is a finite-window estimate of the Hilberg exponent (the
@@ -112,15 +67,11 @@ def hilberg_exponent(series, *, min_n: int | None = None, max_n: int | None = No
     that steps up inside the window, such as the rule count of the minimal
     block code when the chosen block length switches, can push it above 1.
     """
-    if isinstance(series, GrowthSeries):
-        pairs = list(zip(series.ns, series.values))
-    else:
-        pairs = [(int(n), float(v)) for n, v in series]
-    pairs = [
-        (n, v)
-        for n, v in pairs
-        if v > 0 and (min_n is None or n >= min_n) and (max_n is None or n <= max_n)
-    ]
+    pairs = [(int(n), float(v)) for n, v in pairs]
+    ns = [n for n, _ in pairs]
+    if any(n < 1 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError("ns must be strictly increasing and >= 1")
+    pairs = [(n, v) for n, v in pairs if v > 0]
     if len(pairs) < 2:
         raise ValueError("need at least two positive points to fit a slope")
     slope, _ = line_fit(np.log2([n for n, _ in pairs]), np.log2([v for _, v in pairs]))
@@ -165,23 +116,20 @@ def empirical_block_distribution(x, k: int, *, overlapping: bool = True) -> dict
     }
 
 
-def zipf_check(table) -> int | None:
+def zipf_check(probs) -> int | None:
     """Verify that ranked probabilities sit below the harmonic bound 1/rank.
 
-    Accepts a :class:`ProbabilityTable`, a mapping to probabilities, or a
-    bare iterable of probabilities.  Returns None when the bound holds and
-    the first violating 1-based rank otherwise (cannot happen for genuine
-    probabilities of disjoint events, which is the point of the check).
+    Takes an iterable of probabilities (pass a mapping's ``.values()``).
+    Returns None when the bound holds and the first violating 1-based rank
+    otherwise (cannot happen for genuine probabilities of disjoint events,
+    which is the point of the check).
     """
-    if isinstance(table, ProbabilityTable):
-        probs = table.probs
-    elif isinstance(table, Mapping):
-        probs = tuple(table.values())
-    elif isinstance(table, Iterable):
-        probs = tuple(float(p) for p in table)
-    else:
-        raise TypeError("expected probabilities")
-    _validate_probs(probs)
+    probs = [float(p) for p in probs]
+    arr = np.asarray(probs)
+    if arr.size and (arr.min() < -1e-12 or arr.max() > 1 + 1e-12):
+        raise ValueError("probabilities must lie in [0, 1]")
+    if arr.sum() > 1 + 1e-9:
+        raise ValueError("probabilities of disjoint events must sum to at most 1")
     ranked = sorted(probs, reverse=True)
     for rank, p in enumerate(ranked, start=1):
         # the slack shields against normalization round-off (a few ulps);

@@ -1,8 +1,9 @@
 """Command line front end: compression, analysis, and the experiment sweep.
 
-Exit codes: 0 success, 1 usage or domain error, 2 I/O error, 3 corrupt
-input.  Output files are written to a temporary sibling and renamed, so a
-failed run never leaves partial output behind.
+Exit codes: 0 success, 1 usage or domain error or out of memory, 2 I/O
+error, 3 corrupt input.  Output files are written to temporary siblings and
+renamed once all are written, so a failed run never leaves partial output
+behind.
 """
 
 from __future__ import annotations
@@ -71,16 +72,29 @@ class ExperimentRecord:
 CSV_FIELDS = tuple(f.name for f in fields(ExperimentRecord))
 
 
-def _write_atomic(path: str, data: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".minblock-")
+def _write_atomic(outputs: dict[str, bytes]) -> None:
+    """Write each path's bytes to a temporary sibling, then rename them all.
+
+    No output is renamed into place until every one is written.  Each gets
+    the mode a new file gets under the process umask.
+    """
+    umask = os.umask(0)  # reading the mask means setting it; no other thread runs here
+    os.umask(umask)
+    temps = []
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        for path, data in outputs.items():
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                       prefix=".minblock-")
+            temps.append(tmp)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.chmod(tmp, 0o666 & ~umask)
+        for tmp, path in zip(temps, outputs):
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
@@ -245,8 +259,8 @@ def _series_for(records, labels, column) -> list[Series]:
     return out
 
 
-def _sweep_svgs(records, labels, prefix: str) -> list[str]:
-    paths = []
+def _sweep_svgs(records, labels, prefix: str) -> dict[str, bytes]:
+    svgs = {}
     for column, title, fname in (
         ("rules", "Grammar rules vs prefix length", "rules"),
         ("block_len", "Block length vs prefix length", "block-length"),
@@ -257,10 +271,8 @@ def _sweep_svgs(records, labels, prefix: str) -> list[str]:
             xlabel="prefix length n",
             ylabel=title.split(" vs ")[0],
         )
-        path = f"{prefix}-{fname}.svg"
-        _write_atomic(path, svg.encode())
-        paths.append(path)
-    return paths
+        svgs[f"{prefix}-{fname}.svg"] = svg.encode()
+    return svgs
 
 
 def _alphabet(args) -> list[int]:
@@ -274,8 +286,8 @@ def _cmd_encode(args) -> int:
     data = _read_bytes(args.input)
     alphabet = _alphabet(args)
     symbols = map_bytes_to_symbols(data, alphabet)
-    _write_atomic(args.output, compress(symbols, max(2, len(alphabet)),
-                                        kmax=args.kmax_override))
+    _write_atomic({args.output: compress(symbols, max(2, len(alphabet)),
+                                         kmax=args.kmax_override)})
     return 0
 
 
@@ -290,18 +302,22 @@ def _cmd_decode(args) -> int:
     if symbols.size and int(symbols.max()) > len(alphabet):
         raise UsageError("alphabet file is too small for this payload")
     table = np.array(alphabet or [0], dtype=np.uint8)
-    _write_atomic(args.output, table[np.asarray(symbols, dtype=np.int64) - 1].tobytes())
+    _write_atomic({args.output: table[np.asarray(symbols, dtype=np.int64) - 1].tobytes()})
     return 0
 
 
 def _cmd_sweep(args) -> int:
+    if len(set(args.source)) < len(args.source):
+        raise UsageError("each source may be given only once")
     specs = [parse_source(s, args.seed) for s in args.source]
     ns = parse_grid(args.n_grid)
     records = run_sweep(specs, ns, warn=lambda msg: print(f"warning: {msg}", file=sys.stderr))
-    _write_atomic(args.csv, records_to_csv(records).encode())
+    outputs = {args.csv: records_to_csv(records).encode()}
     if args.svg:
-        for path in _sweep_svgs(records, [s.label for s in specs], args.svg):
-            print(f"wrote {path}")
+        outputs.update(_sweep_svgs(records, args.source, args.svg))
+    _write_atomic(outputs)
+    for path in list(outputs)[1:]:
+        print(f"wrote {path}")
     print(f"wrote {args.csv} ({len(records)} rows)")
     return 0
 
@@ -331,13 +347,13 @@ def _cmd_gen(args) -> int:
     symbols = realize(spec, args.n)
     if alphabet_size(spec, symbols) > 255:
         raise UsageError("gen writes one byte per symbol; alphabet must be <= 255")
-    _write_atomic(args.output, np.asarray(symbols, dtype=np.uint8).tobytes())
+    _write_atomic({args.output: np.asarray(symbols, dtype=np.uint8).tobytes()})
     return 0
 
 
 def _cmd_permute(args) -> int:
     data = np.frombuffer(_read_bytes(args.input), dtype=np.uint8)
-    _write_atomic(args.output, permute_characters(data, args.seed).tobytes())
+    _write_atomic({args.output: permute_characters(data, args.seed).tobytes()})
     return 0
 
 
@@ -429,6 +445,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}".removesuffix(": "), file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

@@ -180,14 +180,6 @@ class BlockGrammar:
         if error:
             raise ValueError(error)
 
-    @property
-    def m(self) -> int:
-        return self.base.m
-
-    @property
-    def num_rules(self) -> int:
-        return self.base.num_rules
-
 
 def _shape_error(g: DictionaryGrammar, k: int, head_len: int, tail_len: int) -> str | None:
     """Why ``g`` is not a block grammar with these parameters, or None if it is."""
@@ -505,7 +497,7 @@ def _raise_codeword_error(code: SymbolCode, data: bytes, nbits: int, pos: int) -
     raise AssertionError(f"no codeword error at bit {pos}")
 
 
-def decode_grammar(code: SymbolCode, bits: BitString | BitReader) -> DictionaryGrammar:
+def decode_grammar(code: SymbolCode, bits: BitString) -> DictionaryGrammar:
     """Inverse of :func:`encode_grammar`; validates structure while reading.
 
     The payload is parsed in three array passes.  First the length of the
@@ -523,16 +515,10 @@ def decode_grammar(code: SymbolCode, bits: BitString | BitReader) -> DictionaryG
     :class:`CorruptionError` for an unassigned codeword (``11``, a fixed
     value above m + 1, a delta code with nbits > 63), a reference to the
     rule's own or a later symbol, a terminator inside a rule, a grammar
-    with no rules, or bits after the terminator.  A ``BitReader`` is read
-    to its end.
+    with no rules, or bits after the terminator.
     """
-    if isinstance(bits, BitReader):
-        nbits = bits.remaining
-        nbytes = (nbits + 7) // 8
-        data = (bits.read_bits(nbits) << (8 * nbytes - nbits)).to_bytes(nbytes, "big")
-    else:
-        nbits = len(bits)
-        data = bits.to_bytes()
+    nbits = len(bits)
+    data = bits.to_bytes()
     m = code.m
     fl = code.fixed_len
     buf = np.frombuffer(data + bytes(9), dtype=np.uint8)

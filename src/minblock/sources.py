@@ -63,20 +63,17 @@ def gen_bernoulli(p, n: int, seed: int) -> np.ndarray:
     return symbols.astype(symbol_dtype(p.size))
 
 
-def gen_markov(transitions, n: int, seed: int, init=None) -> np.ndarray:
-    """First-order chain over symbols 1..m given row-stochastic transitions."""
+def gen_markov(transitions, n: int, seed: int) -> np.ndarray:
+    """First-order chain over symbols 1..m given row-stochastic transitions.
+
+    The first symbol is uniform over 1..m.
+    """
     P = np.asarray(transitions, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] < 1:
         raise ValueError("transition table must be square")
     for row in P:
         _check_prob_vector(row)
     m = P.shape[0]
-    if init is None:
-        init = np.full(m, 1.0 / m)
-    init = np.asarray(init, dtype=float)
-    _check_prob_vector(init)
-    if init.size != m:
-        raise ValueError("initial distribution size must match the table")
     if n < 0:
         raise ValueError("length must be nonnegative")
     out = np.empty(n, dtype=symbol_dtype(m))
@@ -85,7 +82,7 @@ def gen_markov(transitions, n: int, seed: int, init=None) -> np.ndarray:
     draws = _rng(seed).random(n)
     cum = np.cumsum(P, axis=1)
     cum[:, -1] = 1.0
-    init_cdf = np.cumsum(init)
+    init_cdf = np.cumsum(np.full(m, 1.0 / m))
     init_cdf[-1] = 1.0
     state = int(np.searchsorted(init_cdf, draws[0], side="right"))
     out[0] = state + 1

@@ -127,10 +127,6 @@ class RankedBlockTable:
     def num_blocks(self) -> int:
         return len(self.entries)
 
-    @property
-    def total(self) -> int:
-        return sum(c for _, c in self.entries)
-
 
 @dataclass(frozen=True)
 class TransformResult:
@@ -191,14 +187,11 @@ def _as_symbols(u, m: int) -> np.ndarray:
     The range is checked in the input's own integer type, so the only
     conversion is the final one, and none when ``u`` already has that type.
     """
-    if isinstance(u, (bytes, bytearray, memoryview)):
-        arr = np.frombuffer(bytes(u), dtype=np.uint8)
-    else:
-        arr = np.asarray(u)
-        if arr.size == 0:
-            arr = np.zeros(0, dtype=np.uint8)
-        if arr.dtype.kind not in "iu":
-            raise ValueError("symbols must be integers")
+    arr = np.asarray(u)
+    if arr.size == 0:
+        arr = np.zeros(0, dtype=np.uint8)
+    if arr.dtype.kind not in "iu":
+        raise ValueError("symbols must be integers")
     if arr.ndim != 1:
         raise ValueError("input must be one dimensional")
     if arr.size and (int(arr.min()) < 1 or int(arr.max()) > m):

@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minblock import (
-    GrowthSeries,
-    ProbabilityTable,
     SymbolCode,
     block_entropy,
     empirical_block_distribution,
@@ -108,16 +106,27 @@ def test_hilberg_scale_invariance():
 
 
 def test_hilberg_window_and_zero_handling():
-    series = GrowthSeries(ns=(2, 4, 8, 16, 32), values=(0.0, 2.0, 4.0, 8.0, 16.0))
+    pairs = list(zip((2, 4, 8, 16, 32), (0.0, 2.0, 4.0, 8.0, 16.0)))
     # the zero point is dropped; remaining slope is exactly 1
-    assert hilberg_exponent(series) == pytest.approx(1.0)
-    assert hilberg_exponent(series, min_n=4, max_n=16) == pytest.approx(1.0)
+    assert hilberg_exponent(pairs) == pytest.approx(1.0)
+    # a caller narrows the fit window by passing only the pairs inside it
+    assert hilberg_exponent(p for p in pairs if 4 <= p[0] <= 16) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         hilberg_exponent(zip([4, 8], [0.0, 1.0]))
     with pytest.raises(ValueError):
-        GrowthSeries(ns=(4,), values=(1.0,))
-    with pytest.raises(ValueError):
-        GrowthSeries(ns=(4, 4), values=(1.0, 1.0))
+        hilberg_exponent([(4, 1.0)])
+
+
+@pytest.mark.parametrize("pairs", [
+    [(64, 1.0), (64, 3.0)],
+    [(1, 1.0), (1, 2.0)],
+    [(8, 1.0), (4, 2.0)],
+    [(0, 1.0), (4, 2.0)],
+    [(-2, 1.0), (4, 2.0)],
+])
+def test_hilberg_rejects_repeated_or_nonpositive_n(pairs):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        hilberg_exponent(pairs)
 
 
 def test_block_entropy_constant_string():
@@ -166,8 +175,8 @@ def test_empirical_distribution_sums_to_one():
 
 def test_zipf_fixtures():
     assert zipf_check([0.5, 0.3, 0.2]) is None
-    assert zipf_check(ProbabilityTable((0.25, 0.25, 0.25, 0.25))) is None
-    assert zipf_check({"a": 0.4, "b": 0.35, "c": 0.2}) is None
+    assert zipf_check((0.25, 0.25, 0.25, 0.25)) is None
+    assert zipf_check({"a": 0.4, "b": 0.35, "c": 0.2}.values()) is None
     # the bound is a theorem for disjoint events, so a violation can only
     # slip in through the sum tolerance; the witness must point at it
     eps = 1e-11
@@ -185,7 +194,7 @@ def test_zipf_domain_errors():
     with pytest.raises(ValueError):
         zipf_check([-0.1, 0.5])
     with pytest.raises(ValueError):
-        ProbabilityTable((1.2,))
+        zipf_check((1.2,))
 
 
 @settings(max_examples=200)
@@ -211,5 +220,5 @@ def test_zipf_on_transform_tables():
         if len(u) < k:
             continue
         table = RankedBlockTable.from_parse(u, k, 0)
-        probs = [c / table.total for _, c in table.entries]
+        probs = [c / (len(u) // k) for _, c in table.entries]
         assert zipf_check(probs) is None

@@ -3,6 +3,7 @@
 import csv
 import io
 import os
+import stat
 import sys
 import time
 
@@ -94,6 +95,47 @@ def test_no_partial_output_on_failure(tmp_path):
     target = tmp_path / "out.bin"
     assert run(["decode", bad, target]) == 3
     assert not target.exists()
+
+
+def test_outputs_get_the_mode_of_a_new_file(tmp_path):
+    src = tmp_path / "src.bin"
+    src.write_bytes(b"abracadabra" * 10)
+    enc = tmp_path / "out.mblk"
+    dec = tmp_path / "back.bin"
+    old = os.umask(0o022)
+    try:
+        assert run(["encode", src, enc]) == 0
+        assert run(["decode", enc, dec]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(enc.stat().st_mode) == 0o644
+    assert stat.S_IMODE(dec.stat().st_mode) == 0o644
+
+
+@pytest.mark.parametrize("argv", [
+    ["--source", "bernoulli:0.5", "--svg", "{tmp}/no-such-dir/fig", "--n-grid", "64,128"],
+    ["--source", "bernoulli:0.5", "--source", "bernoulli:0.5", "--svg", "{tmp}/g",
+     "--n-grid", "1"],
+])
+def test_a_failed_sweep_leaves_no_csv(tmp_path, capsys, argv):
+    csv_path = tmp_path / "s.csv"
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert run(["sweep", "--csv", csv_path] + argv) != 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "error: " in err[0]
+    assert not list(tmp_path.iterdir())  # no CSV, SVG or temporary sibling
+
+
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    def exhausted(spec, n_max):
+        raise MemoryError("Unable to allocate 256. TiB for an array")
+
+    monkeypatch.setattr(cli, "realize", exhausted)
+    assert run(["sweep", "--source", "bernoulli:0.5", "--csv", tmp_path / "s.csv",
+                "--n-grid", "2^45..2^45"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: out of memory: Unable to allocate 256. TiB for an array"]
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_parse_grid():

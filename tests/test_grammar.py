@@ -280,7 +280,7 @@ def test_decode_rejects_truncation():
 def test_block_grammar_shape():
     base = DictionaryGrammar(2, ((1, 2), (2, 1), (1, 3, 4, 2)))
     bg = BlockGrammar(base=base, k=2, head_len=1, tail_len=1)
-    assert bg.m == 2 and bg.num_rules == 3
+    assert bg.base.m == 2 and bg.base.num_rules == 3
     assert expand(base, base.primary_symbol).size == 1 + 2 * 2 + 1
     with pytest.raises(ValueError):
         BlockGrammar(base=base, k=2, head_len=2, tail_len=0)  # run not < k
@@ -504,16 +504,6 @@ def test_decode_rejects_unassigned_codewords(keep, insert, error):
     assert outcome(decode_by_codeword, code, bits) is error
     with pytest.raises(error):
         decode_grammar(code, bits)
-
-
-def test_decode_reads_a_bit_reader_to_its_end():
-    code = SymbolCode(2)
-    g = DictionaryGrammar(2, ((1, 2), (3, 3)))
-    bits = BitString.from01("1" + encode_grammar(code, g).to01())
-    reader = BitReader(bits)
-    reader.read_bit()
-    assert decode_grammar(code, reader) == g
-    assert reader.remaining == 0
 
 
 def test_expand_limit_counts_the_final_length():

@@ -1,5 +1,7 @@
 """Sources: determinism, statistics, corpus ingestion, permutation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,16 @@ def test_markov_rows_and_determinism():
     assert len(set(frozen.tolist())) == 1
     with pytest.raises(ValueError):
         gen_markov([[0.5, 0.5]], 10, seed=0)
+
+
+def test_markov_stream_is_pinned():
+    # the chain starts uniform; the digest pins the whole stream, first symbol included
+    table = [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]]
+    x = gen_markov(table, 100_000, seed=7)
+    assert x.dtype == np.uint8
+    assert hashlib.sha256(x.tobytes()).hexdigest() == (
+        "faa294331ad12dad48d9e8f3b245fd3adee17ad1f3c2074692ef128d29ed7a40"
+    )
 
 
 def test_ingest_first_appearance(tmp_path):

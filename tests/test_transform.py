@@ -54,7 +54,7 @@ def test_ranked_table_from_parse():
     assert table.entries == (((1, 2), 5),)
     table = RankedBlockTable.from_parse([1, 2, 2, 1], 2, 0)
     assert table.entries == (((1, 2), 1), ((2, 1), 1))  # tie broken by value
-    assert table.total == 2
+    assert table.num_blocks == 2
     # an array parses as the list of its values, into plain ints
     table = RankedBlockTable.from_parse(np.array([1, 2, 2, 1], dtype=np.uint8), 2, 0)
     assert table.entries == (((1, 2), 1), ((2, 1), 1))
@@ -120,6 +120,8 @@ def test_transform_alphabet_violation():
         minimal_block_transform(code, [1, 3])
     with pytest.raises(ValueError):
         minimal_block_transform(code, [0, 1])
+    with pytest.raises(ValueError, match="symbols must be integers"):
+        minimal_block_transform(code, b"\x01\x02")
 
 
 def test_code_bits_matches_materialized_grammar():
