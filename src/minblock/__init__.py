@@ -29,7 +29,6 @@ from .grammar import (
     is_block_shaped,
 )
 from .transform import (
-    NonBlockGrammarWarning,
     RankedBlockTable,
     TransformResult,
     block_cost,
@@ -65,7 +64,6 @@ __all__ = [
     "CorruptionError",
     "DictionaryGrammar",
     "ExpansionLimitError",
-    "NonBlockGrammarWarning",
     "RankedBlockTable",
     "SourceSpec",
     "SymbolCode",

@@ -57,9 +57,9 @@ def line_fit(xs, ys) -> tuple[float, float]:
 def hilberg_exponent(pairs) -> float:
     """Log-log regression slope of (n, value) pairs, clipped below at zero.
 
-    The n must be strictly increasing and at least 1.  Points with value 0
-    or less are dropped.  Raises ValueError with fewer than two usable
-    points.
+    The n must be strictly increasing and at least 1, and every value
+    finite.  Points with value 0 or less are dropped.  Raises ValueError
+    with fewer than two usable points.
 
     The value is a finite-window estimate of the Hilberg exponent (the
     limsup of ``log V(n) / log n``), not the exponent itself.  It is not
@@ -71,6 +71,8 @@ def hilberg_exponent(pairs) -> float:
     ns = [n for n, _ in pairs]
     if any(n < 1 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("ns must be strictly increasing and >= 1")
+    if not np.isfinite([v for _, v in pairs]).all():
+        raise ValueError("values must be finite")
     pairs = [(n, v) for n, v in pairs if v > 0]
     if len(pairs) < 2:
         raise ValueError("need at least two positive points to fit a slope")
@@ -126,7 +128,7 @@ def zipf_check(probs) -> int | None:
     """
     probs = [float(p) for p in probs]
     arr = np.asarray(probs)
-    if arr.size and (arr.min() < -1e-12 or arr.max() > 1 + 1e-12):
+    if not ((arr >= -1e-12) & (arr <= 1 + 1e-12)).all():  # NaN fails both
         raise ValueError("probabilities must lie in [0, 1]")
     if arr.sum() > 1 + 1e-9:
         raise ValueError("probabilities of disjoint events must sum to at most 1")

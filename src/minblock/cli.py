@@ -1,7 +1,8 @@
 """Command line front end: compression, analysis, and the experiment sweep.
 
 Exit codes: 0 success, 1 usage or domain error or out of memory, 2 I/O
-error, 3 corrupt input.  Output files are written to temporary siblings and
+error, 3 corrupt input (a damaged frame, or one whose grammar is not the
+block grammar ``encode`` writes).  Output files are written to temporary siblings and
 renamed once all are written, so a failed run never leaves partial output
 behind.
 """
@@ -301,8 +302,8 @@ def _cmd_decode(args) -> int:
     alphabet = _alphabet(args)
     if symbols.size and int(symbols.max()) > len(alphabet):
         raise UsageError("alphabet file is too small for this payload")
-    table = np.array(alphabet or [0], dtype=np.uint8)
-    _write_atomic({args.output: table[np.asarray(symbols, dtype=np.int64) - 1].tobytes()})
+    table = np.array([0, *alphabet], dtype=np.uint8)  # the byte of symbol s is table[s]
+    _write_atomic({args.output: table[symbols].tobytes()})
     return 0
 
 

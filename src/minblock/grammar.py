@@ -1,13 +1,18 @@
-"""Dictionary grammars, their expansion, and their emission as bits.
+"""Dictionary grammars, their emission as bits, and block-grammar expansion.
 
 A dictionary grammar over terminals {1..m} is an ordered list of rules; rule
 ``i`` (1-based) defines symbol ``m + i`` and may only reference strictly
-smaller symbols, so expansion always terminates.  The last rule is the
-primary rule; expanding its symbol produces the grammar's output string.
+smaller symbols.  The last rule is the primary rule.
 
 The grammar is serialized rule by rule with the code of
 :mod:`minblock.codes`: each rule is the codewords of its symbols followed by
-the separator 0, and the whole grammar ends with the terminator -1.
+the separator 0, and the whole grammar ends with the terminator -1.  The
+emitter and the parser take any dictionary grammar.
+
+Only block grammars are expanded: terminal k-blocks, then a primary rule of
+a head run, references and a tail run.  That is the only shape the block
+transform builds, and its output is one gather of the cited blocks between
+the two runs.
 
 A grammar is stored as two read-only int64 arrays: all rule bodies laid end
 to end, and the offsets where each rule starts.  The block build, the shape
@@ -41,9 +46,6 @@ Rule = tuple[int, ...]
 
 # bits parsed per step of the codeword-length pass of the decoder
 _CHUNK_BITS = 1 << 16
-
-# expansion lengths are counted up to this cap; nothing longer fits in memory
-_LENGTH_CAP = 1 << 62
 
 
 def symbol_dtype(m: int):
@@ -153,10 +155,6 @@ class DictionaryGrammar:
         return self.offsets.size - 1
 
     @property
-    def primary_symbol(self) -> int:
-        return self.m + self.num_rules
-
-    @property
     def primary(self) -> Rule:
         return tuple(self.symbols[self.offsets[-2] :].tolist())
 
@@ -209,136 +207,64 @@ def _shape_error(g: DictionaryGrammar, k: int, head_len: int, tail_len: int) -> 
     return None
 
 
-def is_block_shaped(g: DictionaryGrammar) -> bool:
-    """True if ``g`` fits the block shape (or is a bare terminal primary).
+def _block_shape(g: DictionaryGrammar) -> tuple[int, int, int] | None:
+    """(k, head_len, tail_len) of the block shape ``g`` fits, or None.
 
     k is the length of the first rule, and the runs are the terminals before
     the first and after the last reference; a primary of terminals alone
-    gets the longest head below k.
+    gets the longest head below k.  A grammar of one rule is its primary,
+    which can cite no rule: all head, with k = 0.
     """
-    if g.num_rules == 1:
-        return True  # its only rule can cite no rule, so it is all terminals
-    k = int(g.offsets[1])
     prim = g.symbols[g.offsets[-2] :]
+    if g.num_rules == 1:
+        return 0, prim.size, 0
+    k = int(g.offsets[1])
     refs = np.flatnonzero(prim > g.m)
     if refs.size:
         head, tail = int(refs[0]), prim.size - 1 - int(refs[-1])
     else:
         head = min(prim.size, k - 1)
         tail = prim.size - head
-    return _shape_error(g, k, head, tail) is None
+    return None if _shape_error(g, k, head, tail) else (k, head, tail)
 
 
-def _rule_table(m: int, flat: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Expansion length of every rule, capped at 2**62, and the symbol it stands for.
+def is_block_shaped(g: DictionaryGrammar) -> bool:
+    """True if ``g`` is a block grammar (or a bare terminal primary).
 
-    A rule whose only nonempty element is e stands for what e stands for, and
-    any other rule for its own symbol.  Rules of terminals alone are handled
-    in arrays.  The rules that cite nonterminals (only the primary rule of a
-    block grammar) are visited in rule order, one step each, so what every
-    element stands for is known when its rule is reached.
+    A block grammar is terminal k-blocks, then a primary rule of a head run,
+    references and a tail run, each run shorter than k.
     """
-    lengths = offsets[1:] - offsets[:-1]
-    alias = np.arange(m + 1, m + offsets.size, dtype=np.int64)
-    unary = np.flatnonzero(lengths == 1)
-    alias[unary] = flat[offsets[unary]]
-    cites = np.zeros(flat.size + 1, dtype=np.int64)
-    np.cumsum(flat > m, out=cites[1:])
-    for i in np.flatnonzero(cites[offsets[1:]] - cites[offsets[:-1]]).tolist():
-        body = flat[offsets[i] : offsets[i + 1]]
-        refs = body > m
-        part = lengths[body[refs] - (m + 1)]
-        # the int64 sum is exact unless the float sum says it may have wrapped
-        if part.sum(dtype=np.float64) < _LENGTH_CAP:
-            lengths[i] = min(body.size - part.size + int(part.sum()), _LENGTH_CAP)
-        else:
-            lengths[i] = _LENGTH_CAP
-        alias[i] = m + 1 + i
-        if body.size - part.size + np.count_nonzero(part) == 1:
-            e = int(body[~refs][0]) if part.size < body.size else int(body[refs][part.argmax()])
-            alias[i] = alias[e - (m + 1)] if e > m else e
-    return lengths, alias
+    return _block_shape(g) is not None
 
 
-def expand(g: DictionaryGrammar, r: int, max_len: int | None = None) -> np.ndarray:
-    """Terminal string produced by symbol ``r`` (terminals map to themselves).
+def expand(g: DictionaryGrammar, max_len: int | None = None) -> np.ndarray:
+    """Terminal string of the block grammar ``g``: head, cited blocks, tail.
 
-    The length of every rule's expansion is counted first, so that
-    ``max_len`` refuses grammars whose expansion blows up (possible for
-    hand-built or hostile rule tables; block grammars are linear) with
-    :class:`ExpansionLimitError` before anything is built; the same pass
-    over the rules finds what each one stands for.  Then citations of rules
-    that expand to nothing are dropped, and a citation of a rule with one
-    nonempty element becomes a citation of what that element stands for, so
-    that every rule still cited has at least two elements, each with a
-    nonempty expansion.  The expansion tree is then
-    walked one level per pass: each pass writes the symbols of the rules
-    cited at that level to the output, where each one's expansion starts,
-    and passes on the rules among them.  No pass holds more elements than
-    the output has terminals, and all passes together fewer than twice as
-    many; a block grammar takes two passes.  Raises ValueError when ``r``
-    is not a symbol of ``g``.
+    The length, head + references * k + tail, is known before anything is
+    built, so ``max_len`` refuses a longer output with
+    :class:`ExpansionLimitError`.  The cited k-blocks are gathered straight
+    into the output.  Raises ValueError when ``g`` is not block shaped.
     """
-    if not 1 <= r <= g.primary_symbol:
-        raise ValueError(f"symbol {r} out of range 1..{g.primary_symbol}")
+    shape = _block_shape(g)
+    if shape is None:
+        raise ValueError("grammar is not block shaped")
+    k, head, tail = shape
     m = g.m
-    dtype = symbol_dtype(m)
-    if r <= m:
-        return np.array([r], dtype=dtype)
-    offsets = g.offsets[: r - m + 1]
-    flat = g.symbols[: offsets[-1]]
-    lengths, alias = _rule_table(m, flat, offsets)
-    total = int(lengths[-1])
+    prim = g.symbols[g.offsets[-2] :]
+    refs = prim[head : prim.size - tail]
+    total = head + refs.size * k + tail
     if max_len is not None and total > max_len:
-        raise ExpansionLimitError(
-            f"expansion of symbol {r} has {total} terminals (limit {max_len})"
-        )
+        raise ExpansionLimitError(f"expansion has {total} terminals (limit {max_len})")
+    dtype = symbol_dtype(m)
     out = np.empty(total, dtype=dtype)
-    if not total:
-        return out
-
-    cited = flat > m
-    size = np.ones(flat.size, dtype=np.int64)
-    size[cited] = lengths[flat[cited] - (m + 1)]
-    keep = size > 0
-    if not keep.all():
-        kept = np.zeros(flat.size + 1, dtype=np.int64)
-        np.cumsum(keep, out=kept[1:])
-        offsets = kept[offsets]
-        flat, size, cited = flat[keep], size[keep], cited[keep]
-    if (alias != np.arange(m + 1, m + offsets.size)).any():
-        flat = flat.copy()
-        flat[cited] = alias[flat[cited] - (m + 1)]
-    root = int(alias[-1])
-    # where each element's expansion starts within the rules laid end to end;
-    # the int64 sums wrap only past rules longer than the output, which no
-    # rule reachable from r is, so the differences taken below are exact
-    before = np.cumsum(size)
-    before -= size
-    del cited, keep, size, lengths, alias
-
-    if root <= m:
-        out[0] = root
-        return out
-    sizes = offsets[1:] - offsets[:-1]
-    rule = np.array([root - (m + 1)])
-    at_rule = np.zeros(1, dtype=np.int64)
-    while rule.size:
-        n = sizes[rule]
-        first = offsets[rule]
-        pos = np.repeat(first - (np.cumsum(n) - n), n)
-        pos += np.arange(pos.size)
-        at = np.repeat(at_rule - before[first], n)
-        at += before[pos]
-        sym = flat[pos]
-        del pos, first, n
-        # a nonterminal's value is cast to garbage here, but the first
-        # terminal of its expansion overwrites it in a later pass
-        out[at] = sym
-        cited = np.flatnonzero(sym > m)
-        rule = sym[cited] - (m + 1)
-        at_rule = at[cited]
-        del at, sym, cited
+    out[:head] = prim[:head]
+    blocks = g.symbols[: g.offsets[-2]].astype(dtype).reshape(g.num_rules - 1, k)
+    # every reference names one of the blocks (it is above m and below the
+    # primary's symbol), so "clip" clips nothing; unlike "raise" it writes
+    # into the output without a buffer
+    np.take(blocks, refs - (m + 1), axis=0, mode="clip",
+            out=out[head : total - tail].reshape(refs.size, k))
+    out[total - tail :] = prim[prim.size - tail :]
     return out
 
 

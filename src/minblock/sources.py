@@ -133,6 +133,8 @@ def permute_characters(u, seed: int) -> np.ndarray:
     Preserves the multiset of symbols exactly.
     """
     arr = np.asarray(u)
+    if not arr.size:  # permutation refuses an empty read-only array
+        return arr.copy()
     return _rng(seed).permutation(arr)
 
 

@@ -58,7 +58,6 @@ distinct blocks, which never beat the terminal grammar.
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -66,7 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bits import BitString, _check_frame_alphabet
+from .bits import BitString, CorruptionError, _check_frame_alphabet
 from .codes import SymbolCode, rank_length, rank_lengths
 from .grammar import (
     BlockGrammar,
@@ -77,9 +76,6 @@ from .grammar import (
     is_block_shaped,
     symbol_dtype,
 )
-
-class NonBlockGrammarWarning(UserWarning):
-    """Decoded payload is a valid dictionary grammar but not block shaped."""
 
 
 @dataclass(frozen=True)
@@ -642,17 +638,13 @@ def encode(code: SymbolCode, u, *, kmax: int | None = None) -> BitString:
 def decode(code: SymbolCode, bits: BitString, *, max_len: int | None = None) -> np.ndarray:
     """Inverse of :func:`encode`; returns the terminal string.
 
-    Any valid dictionary grammar expands, so a payload that is not block
-    shaped is still accepted, with a :class:`NonBlockGrammarWarning`.
+    A payload whose grammar is not block shaped, which :func:`encode` never
+    writes, raises :class:`CorruptionError`.
     """
     g = decode_grammar(code, bits)
     if not is_block_shaped(g):
-        warnings.warn(
-            "decoded grammar is not block shaped; expanding anyway",
-            NonBlockGrammarWarning,
-            stacklevel=2,
-        )
-    return expand(g, g.primary_symbol, max_len=max_len)
+        raise CorruptionError("grammar is not block shaped")
+    return expand(g, max_len=max_len)
 
 
 def compress(u, m: int, *, kmax: int | None = None) -> bytes:

@@ -129,6 +129,12 @@ def test_hilberg_rejects_repeated_or_nonpositive_n(pairs):
         hilberg_exponent(pairs)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), float("-inf")])
+def test_hilberg_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="finite"):
+        hilberg_exponent([(2, 1.0), (4, bad), (8, 4.0)])
+
+
 def test_block_entropy_constant_string():
     for k in (1, 2, 5):
         assert block_entropy([1] * 64, k) == 0.0
@@ -195,6 +201,9 @@ def test_zipf_domain_errors():
         zipf_check([-0.1, 0.5])
     with pytest.raises(ValueError):
         zipf_check((1.2,))
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            zipf_check([0.5, bad])
 
 
 @settings(max_examples=200)

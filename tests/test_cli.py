@@ -6,11 +6,22 @@ import os
 import stat
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from minblock import SymbolCode, cli, minimal_block_transform, transform
+from minblock import (
+    CorruptionError,
+    DictionaryGrammar,
+    SymbolCode,
+    cli,
+    decompress,
+    encode_grammar,
+    minimal_block_transform,
+    transform,
+)
+from minblock.bits import pack_frame
 from minblock.cli import (
     ExperimentRecord,
     main,
@@ -48,20 +59,75 @@ def test_encode_decode_empty_file(tmp_path):
     assert dec.read_bytes() == b""
 
 
-def test_decode_of_empty_citations_at_every_level(tmp_path):
-    from minblock import DictionaryGrammar, NonBlockGrammarWarning, SymbolCode, encode_grammar
-    from minblock.bits import pack_frame
+def _decode_is_refused(tmp_path, capsys, g):
+    """``decompress`` and ``minblock decode`` of a frame holding ``g`` both
+    refuse it as corrupt, the CLI with exit 3, one line and no output."""
+    frame = pack_frame(g.m, encode_grammar(SymbolCode(g.m), g))
+    start = time.perf_counter()
+    with pytest.raises(CorruptionError, match="not block shaped"):
+        decompress(frame, max_len=1 << 31)
+    enc = tmp_path / "hostile.mblk"
+    enc.write_bytes(frame)
+    dec = tmp_path / "hostile.out"
+    capsys.readouterr()
+    assert run(["decode", enc, dec]) == 3
+    assert time.perf_counter() - start < 2.0
+    assert not dec.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        "corrupt input: grammar is not block shaped"
+    ]
 
+
+def test_decode_of_empty_citations_at_every_level(tmp_path, capsys):
     # byte "A" (symbol 66) after four levels of 1000 citations of an empty
-    # rule; built level by level this would be 10**12 symbols
+    # rule; expanded level by level this would be 10**12 symbols
     rules = ((),) + tuple((257 + i,) * 1000 for i in range(4)) + ((261, 66),)
-    g = DictionaryGrammar(256, rules)
-    enc = tmp_path / "deep.mblk"
-    enc.write_bytes(pack_frame(256, encode_grammar(SymbolCode(256), g)))
-    dec = tmp_path / "deep.out"
-    with pytest.warns(NonBlockGrammarWarning):
+    _decode_is_refused(tmp_path, capsys, DictionaryGrammar(256, rules))
+
+
+def _hostile_rules(kind, m=256, d=50_000):
+    """Rules of a valid dictionary grammar that is not a block grammar."""
+    if kind == "unary-chain":  # (1,), (m+1,), (m+2,), ...: expands to [1]
+        return ((1,),) + tuple((s,) for s in range(m + 1, m + d))
+    if kind == "binary-chain":  # (1,), (m+1, 1), (m+2, 1), ...: the left-deep chain
+        return ((1,),) + tuple((s, 1) for s in range(m + 1, m + d))
+    if kind == "wide-chain":  # the unary chain's top, cited d times
+        return _hostile_rules("unary-chain", m, d) + ((m + d,) * d,)
+    if kind == "doubling":  # (1, 2), (m+1, m+1), ...: 2**23 symbols from 23 rules
+        return ((1, 2),) + tuple((s, s) for s in range(m + 1, m + 23))
+    return ((1, 2), (m + 1, 1), (m + 2, m + 2))  # a nonterminal in a secondary rule
+
+
+@pytest.mark.parametrize("kind", ["unary-chain", "binary-chain", "wide-chain", "doubling",
+                                  "secondary-cites-a-rule"])
+def test_decode_refuses_grammars_encode_never_writes(tmp_path, capsys, kind):
+    _decode_is_refused(tmp_path, capsys, DictionaryGrammar(256, _hostile_rules(kind)))
+
+
+def test_decode_memory_per_output_byte(tmp_path):
+    # a block grammar of 2**16 references to 64-byte blocks: 4 MiB out
+    rng = np.random.Generator(np.random.Philox(3))
+    m, k, d = 256, 64, 256
+    blocks = rng.integers(1, m + 1, (d, k))
+    refs = rng.integers(m + 1, m + d + 1, 1 << 16)
+    primary = np.concatenate([[7, 8], refs, [9]])
+    g = DictionaryGrammar.from_arrays(
+        m, np.concatenate([blocks.ravel(), primary]),
+        np.append(np.arange(0, d * k + 1, k), d * k + primary.size),
+    )
+    enc = tmp_path / "big.mblk"
+    enc.write_bytes(pack_frame(m, encode_grammar(SymbolCode(m), g)))
+    dec = tmp_path / "big.out"
+    tracemalloc.start()
+    try:
         assert run(["decode", enc, dec]) == 0
-    assert dec.read_bytes() == b"A"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = np.concatenate([[7, 8], blocks[refs - (m + 1)].ravel(), [9]]) - 1
+    assert dec.read_bytes() == want.astype(np.uint8).tobytes()
+    # the uint16 symbols, the bytes and their copy for the file: 4 bytes
+    assert peak / want.size < 6.0
 
 
 def test_encode_with_alphabet_file_compresses_better(tmp_path):
@@ -395,6 +461,14 @@ def test_gen_permute_entropy(tmp_path, capsys):
     assert "block_entropy_bits=" in captured
     h = float(captured.split("block_entropy_bits=")[1].splitlines()[0])
     assert 0.99 < h <= 1.0
+
+
+def test_permute_empty_file(tmp_path):
+    src = tmp_path / "empty"
+    src.write_bytes(b"")
+    out = tmp_path / "p.bin"
+    assert run(["permute", src, out, "--seed", 1]) == 0
+    assert out.read_bytes() == b""
 
 
 def test_encode_kmax_override(tmp_path):

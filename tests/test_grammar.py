@@ -87,37 +87,42 @@ ALPHABETS = (2, 3, 66, 255, 256, 65535)
 
 def test_expand_terminal():
     g = DictionaryGrammar(2, (((1, 2)),))
-    assert expand(g, 1).tolist() == [1]
-    assert expand(g, 2).tolist() == [2]
+    assert expand(g).tolist() == [1, 2]
 
 
 def test_expand_nested():
     g = DictionaryGrammar(2, ((1, 2), (3, 3, 2)))
-    assert expand(g, 4).tolist() == [1, 2, 1, 2, 2]
+    assert expand(g).tolist() == [1, 2, 1, 2, 2]
 
 
 def test_expand_empty_primary():
     g = DictionaryGrammar(2, ((),))
-    assert expand(g, 3).tolist() == []
+    assert expand(g).tolist() == []
 
 
-def test_expand_out_of_range():
-    g = DictionaryGrammar(2, ((1, 2),))
-    with pytest.raises(ValueError):
-        expand(g, 0)
-    with pytest.raises(ValueError):
-        expand(g, 4)
+def test_expand_refuses_a_non_block_grammar():
+    for rules in (
+        ((1, 2), (3, 1), (4, 4)),  # a nonterminal inside a secondary rule
+        ((1, 2), (1,), (3, 4)),  # secondary rules of two lengths
+        ((1, 2), (3, 1, 3)),  # a terminal among the references
+        ((1, 2), (1, 2, 2)),  # terminal runs no shorter than k
+        ((), (3, 1)),  # an empty secondary rule
+    ):
+        g = DictionaryGrammar(2, rules)
+        assert not is_block_shaped(g)
+        with pytest.raises(ValueError, match="not block shaped"):
+            expand(g)
 
 
 def test_expand_limit_guard():
-    # rules that double on every level
-    rules = [(1, 1)]
-    for i in range(2, 12):
-        rules.append((2 + i - 1, 2 + i - 1))
-    g = DictionaryGrammar(2, tuple(rules))
-    assert expand(g, g.primary_symbol).size == 2**11
+    # 2**11 references to one block; the doubling grammar is not a block grammar
+    g = DictionaryGrammar(2, ((1, 1), (3,) * 2**11))
+    assert expand(g).size == 2**12
     with pytest.raises(ExpansionLimitError):
-        expand(g, g.primary_symbol, max_len=100)
+        expand(g, max_len=100)
+    doubling = DictionaryGrammar(2, ((1, 1),) + tuple((2 + i, 2 + i) for i in range(1, 11)))
+    with pytest.raises(ValueError):
+        expand(doubling)
 
 
 def test_invariant_validation():
@@ -227,9 +232,6 @@ def test_code_length_matches_encoding_on_random_grammars():
         assert grammar_code_length(code, g) == len(bits)
         back = decode_grammar(code, bits)
         assert back == g
-        assert np.array_equal(
-            expand(back, back.primary_symbol), expand(g, g.primary_symbol)
-        )
 
 
 def test_decode_rejects_terminator_alone():
@@ -281,7 +283,7 @@ def test_block_grammar_shape():
     base = DictionaryGrammar(2, ((1, 2), (2, 1), (1, 3, 4, 2)))
     bg = BlockGrammar(base=base, k=2, head_len=1, tail_len=1)
     assert bg.base.m == 2 and bg.base.num_rules == 3
-    assert expand(base, base.primary_symbol).size == 1 + 2 * 2 + 1
+    assert expand(base).size == 1 + 2 * 2 + 1
     with pytest.raises(ValueError):
         BlockGrammar(base=base, k=2, head_len=2, tail_len=0)  # run not < k
     bad = DictionaryGrammar(2, ((1, 2), (3, 1)))  # nonterminal inside a rule
@@ -313,7 +315,7 @@ def test_block_expansion_length_property():
             head_len=head,
             tail_len=tail,
         )
-        out = expand(bg.base, bg.base.primary_symbol)
+        out = expand(bg.base)
         assert out.size == head + p * k + tail
 
 
@@ -507,20 +509,21 @@ def test_decode_rejects_unassigned_codewords(keep, insert, error):
 
 
 def test_expand_limit_counts_the_final_length():
-    # 1000 citations of an empty rule expand to nothing
-    g = DictionaryGrammar(2, ((), (3,) * 1000, (4, 1)))
-    assert expand(g, g.primary_symbol, max_len=1).tolist() == [1]
-    with pytest.raises(ExpansionLimitError):
-        expand(g, g.primary_symbol, max_len=0)
+    # head 1, three references to 3-blocks, tail 2: 1 + 3 * 3 + 2 terminals
+    g = DictionaryGrammar(2, ((1, 2, 1), (2, 2, 2), (1, 3, 4, 3, 2, 2)))
+    assert expand(g, max_len=12).tolist() == [1, 1, 2, 1, 2, 2, 2, 1, 2, 1, 2, 2]
+    with pytest.raises(ExpansionLimitError, match="12 terminals"):
+        expand(g, max_len=11)
 
 
-def test_expand_drops_empty_citations_at_every_level():
+def test_expand_refuses_empty_citations_at_every_level():
     # each level cites the one below 1000 times and all of them expand to
-    # nothing; built level by level this would be 10**9 then 10**12 symbols
+    # nothing; expanded level by level this would be 10**9 then 10**12 symbols
     for depth in (3, 4):
         rules = ((),) + tuple((3 + i,) * 1000 for i in range(depth))
         g = DictionaryGrammar(2, rules + ((3 + depth, 1),))
-        assert expand(g, g.primary_symbol, max_len=1).tolist() == [1]
+        with pytest.raises(ValueError, match="not block shaped"):
+            expand(g, max_len=1)
 
 
 def by_rule(g, r, memo=None):
@@ -533,19 +536,41 @@ def by_rule(g, r, memo=None):
     return memo[r]
 
 
+def random_block_grammar(rng, m) -> DictionaryGrammar:
+    """Random block grammar: a terminal primary alone, or k-blocks (k = 1
+    often) and a primary of runs below k around zero or more references."""
+    def terminals(size):
+        return [int(t) for t in rng.integers(1, m + 1, size)]
+
+    if rng.random() < 0.2:
+        return DictionaryGrammar(m, (terminals(int(rng.integers(0, 9))),))
+    k = int(rng.choice([1, 1, 2, 3, 5]))
+    d = int(rng.integers(1, 6))
+    refs = [int(r) for r in rng.integers(m + 1, m + d + 1, int(rng.choice([0, 1, 7, 40])))]
+    primary = terminals(int(rng.integers(0, k))) + refs + terminals(int(rng.integers(0, k)))
+    return DictionaryGrammar(m, tuple(terminals(k) for _ in range(d)) + (primary,))
+
+
 def test_expand_matches_the_rule_by_rule_expansion():
     rng = np.random.Generator(np.random.Philox(12))
     for _ in range(300):
-        g = random_grammar(rng, int(rng.choice(ALPHABETS)), int(rng.integers(1, 12)), cite=0.5)
-        for r in (1, g.primary_symbol, int(rng.integers(1, g.primary_symbol + 1))):
-            want = by_rule(g, r)
-            assert expand(g, r).tolist() == want
-            assert expand(g, r, max_len=len(want)).tolist() == want
+        m = int(rng.choice(ALPHABETS))
+        g = random_block_grammar(rng, m)
+        assert is_block_shaped(g)
+        want = by_rule(g, m + g.num_rules)
+        got = expand(g, max_len=len(want))
+        assert got.tolist() == want
+        assert got.dtype == symbol_dtype(m)
+        if want:
+            with pytest.raises(ExpansionLimitError):
+                expand(g, max_len=len(want) - 1)
 
 
 def test_expand_with_empty_and_one_element_rules():
-    # empty rules, one-element rules and chains of them, at every level
+    # empty rules, one-element rules and chains of them, at every level:
+    # each grammar either expands as rule by rule or is refused
     rng = np.random.Generator(np.random.Philox(13))
+    shaped = 0
     for _ in range(400):
         m = int(rng.choice(ALPHABETS))
         rules = []
@@ -556,33 +581,29 @@ def test_expand_with_empty_and_one_element_rules():
                 for _ in range(int(rng.choice([0, 1, 1, 2, 3])))
             ))
         g = DictionaryGrammar(m, tuple(rules))
-        memo = {}
-        for r in range(m + 1, g.primary_symbol + 1):
-            want = by_rule(g, r, memo)
-            got = expand(g, r, max_len=len(want))
-            assert got.tolist() == want
-            assert got.dtype == symbol_dtype(m)
-            if want:
-                with pytest.raises(ExpansionLimitError):
-                    expand(g, r, max_len=len(want) - 1)
+        if is_block_shaped(g):
+            shaped += 1
+            assert expand(g).tolist() == by_rule(g, m + g.num_rules)
+        else:
+            with pytest.raises(ValueError, match="not block shaped"):
+                expand(g)
+    assert 0 < shaped < 400
 
 
 @pytest.mark.parametrize("chain", ["unary", "binary", "under-a-wide-rule"])
 def test_expand_deep_chains_take_linear_time(chain):
-    # d rules deep: a level-by-level expansion that copies the rule table,
-    # or carries finished terminals, on every pass takes time quadratic in d
-    d = 40_000
+    # d rules deep: a chain is not a block grammar, and is refused in time
+    # linear in d, before anything is expanded
+    d = 50_000
     if chain == "unary":  # (1,), (3,), (4,), ...: expands to [1]
         rules = ((1,),) + tuple((s,) for s in range(3, d + 2))
-        want = [1]
     elif chain == "binary":  # (1,), (3, 2), (4, 2), ...: expands to 1, 2, 2, ...
-        d = 4000
         rules = ((1,),) + tuple((s, 2) for s in range(3, d + 2))
-        want = [1] + [2] * (d - 1)
     else:  # the unary chain's top, cited d times
         rules = ((1,),) + tuple((s,) for s in range(3, d + 2)) + ((d + 2,) * d,)
-        want = [1] * d
     g = DictionaryGrammar(2, rules)
     start = time.perf_counter()
-    assert expand(g, g.primary_symbol, max_len=len(want)).tolist() == want
-    assert time.perf_counter() - start < 5.0
+    assert not is_block_shaped(g)
+    with pytest.raises(ValueError, match="not block shaped"):
+        expand(g)
+    assert time.perf_counter() - start < 1.0

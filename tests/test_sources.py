@@ -102,6 +102,18 @@ def test_permutation_singleton_identity():
     assert permute_characters([5], seed=1).tolist() == [5]
 
 
+def test_permutation_of_empty_and_read_only_input():
+    # bytes are read-only arrays; the empty one once made permutation raise
+    empty = permute_characters(np.frombuffer(b"", dtype=np.uint8), seed=1)
+    assert empty.size == 0 and empty.dtype == np.uint8
+    data = np.frombuffer(bytes(range(256)) * 16 + b"abracadabra" * 50, dtype=np.uint8)
+    y = permute_characters(data, seed=9)
+    assert np.array_equal(y, permute_characters(data.copy(), seed=9))
+    assert hashlib.sha256(y.tobytes()).hexdigest() == (
+        "9dc06f28b3f3a436c3346a99033cd92da740c4652852d7e50b652ed3e2e80543"
+    )
+
+
 def test_permutation_keeps_unigram_entropy_exactly():
     x = gen_bernoulli([0.25, 0.25, 0.5], 40_000, seed=13)
     y = permute_characters(x, seed=14)

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minblock import (
+    CorruptionError,
     DictionaryGrammar,
-    NonBlockGrammarWarning,
     RankedBlockTable,
     SymbolCode,
     block_cost,
@@ -520,25 +520,24 @@ def test_kmax_override_is_upper_bound():
         minimal_block_transform(code, u, kmax=0)
 
 
-def test_decode_warns_on_non_block_grammar():
+def test_decode_rejects_a_non_block_grammar():
     code = SymbolCode(2)
     # secondary rule (3, 1) holds a nonterminal, so this is not block shaped
     g = DictionaryGrammar(2, ((1, 2), (3, 1), (4, 4)))
-    bits = encode_grammar(code, g)
-    with pytest.warns(NonBlockGrammarWarning):
-        out = decode(code, bits)
-    assert out.tolist() == [1, 2, 1, 1, 2, 1]
+    with pytest.raises(CorruptionError, match="not block shaped"):
+        decode(code, encode_grammar(code, g))
 
 
 def test_decompress_limits_a_grammar_of_empty_citations():
     from minblock.bits import pack_frame
 
-    # expands to [1] through three levels of 1000 citations of an empty rule
+    # three levels of 1000 citations of an empty rule: not a block grammar,
+    # so it is refused with or without a length limit
     g = DictionaryGrammar(2, ((), (3,) * 1000, (4,) * 1000, (5,) * 1000, (6, 1)))
     frame = pack_frame(2, encode_grammar(SymbolCode(2), g))
-    with pytest.warns(NonBlockGrammarWarning):
-        out, m = decompress(frame, max_len=1)
-    assert (out.tolist(), m) == ([1], 2)
+    for max_len in (1, None):
+        with pytest.raises(CorruptionError):
+            decompress(frame, max_len=max_len)
 
 
 def test_shift_and_runs_are_consistent():
