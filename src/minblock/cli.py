@@ -300,8 +300,17 @@ def _cmd_decode(args) -> int:
             "the file the encoder used"
         )
     alphabet = _alphabet(args)
-    if symbols.size and int(symbols.max()) > len(alphabet):
-        raise UsageError("alphabet file is too small for this payload")
+    # the encoder codes a file's alphabet with max(2, size) symbols
+    if max(2, len(alphabet)) != m:
+        raise UsageError(
+            f"alphabet size {len(alphabet)} does not match the payload's {m}"
+        )
+    # so a one-byte alphabet fits a frame of m = 2, which can still hold symbol 2
+    top = int(symbols.max()) if symbols.size else 0
+    if top > len(alphabet):
+        raise UsageError(
+            f"the payload uses symbol {top}, which the alphabet file has no byte for"
+        )
     table = np.array([0, *alphabet], dtype=np.uint8)  # the byte of symbol s is table[s]
     _write_atomic({args.output: table[symbols].tobytes()})
     return 0
@@ -384,7 +393,11 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("decode", help="decompress an MBLK frame")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--alphabet-from-file", metavar="PATH")
+    p.add_argument("--alphabet-from-file", metavar="PATH",
+                   help="the file passed to encode: its first-appearance alphabet "
+                        "must have the frame's size; a file with the same bytes "
+                        "in another order is not detected, since the frame holds "
+                        "no alphabet")
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser(

@@ -80,6 +80,18 @@ def rank_lengths(j) -> np.ndarray:
     return t + 2 * (bit_lengths(t + 1) - 1) + 3
 
 
+def _rank_length_table(jmax: int) -> np.ndarray:
+    """Vector of open-class codeword lengths for offsets 1..jmax, as uint8.
+
+    The length is constant on each [2**t, 2**(t+1)), so the table is one run
+    of equal lengths per t.
+    """
+    jmax = max(jmax, 0)
+    starts = 1 << np.arange(jmax.bit_length())
+    # no length exceeds 66, so one byte holds each
+    return np.repeat(rank_lengths(starts).astype(np.uint8), np.minimum(starts, jmax + 1 - starts))
+
+
 def encode_symbol(code: SymbolCode, n: int, out: BitString | None = None) -> BitString:
     """Append the codeword of ``n`` to ``out`` (a fresh BitString if omitted)."""
     if out is None:

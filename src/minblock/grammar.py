@@ -7,7 +7,13 @@ smaller symbols.  The last rule is the primary rule.
 The grammar is serialized rule by rule with the code of
 :mod:`minblock.codes`: each rule is the codewords of its symbols followed by
 the separator 0, and the whole grammar ends with the terminator -1.  The
-emitter and the parser take any dictionary grammar.
+emitter and the parser take any dictionary grammar, and both work on whole
+arrays: the emitter reads each reference's codeword and length from tables
+over the rule IDs and packs all codewords into 64-bit words at once; the
+parser finds the codeword starts by walking chunks of the payload in
+lockstep, which a prefix code allows because walks from a wrong start soon
+fall in step with the true one, then reads each codeword from one 64-bit
+window.
 
 Only block grammars are expanded: terminal k-blocks, then a primary rule of
 a head run, references and a tail run.  That is the only shape the block
@@ -36,16 +42,13 @@ import numpy as np
 from .bits import BitReader, BitString, CorruptionError, ExpansionLimitError
 from .codes import (
     SymbolCode,
-    bit_lengths,
+    _rank_length_table,
     decode_symbol,
     rank_length,
     rank_lengths,
 )
 
 Rule = tuple[int, ...]
-
-# bits parsed per step of the codeword-length pass of the decoder
-_CHUNK_BITS = 1 << 16
 
 
 def symbol_dtype(m: int):
@@ -269,26 +272,24 @@ def expand(g: DictionaryGrammar, max_len: int | None = None) -> np.ndarray:
 
 
 def _pack(values: np.ndarray, widths: np.ndarray) -> BitString:
-    """Concatenate codewords (uint64 ``values`` of 1..64 ``widths`` bits), MSB first.
+    """Concatenate codewords (uint64 ``values`` of 1..64 uint8 ``widths`` bits), MSB first.
 
-    Each codeword lands in at most two 64-bit words of the output: the bits
-    that fit in the word where it starts, and a spill into the next word.
-    Codewords never overlap, so each word is the OR of its pieces.
+    Each codeword, moved to the top of a 64-bit word, lands in at most two
+    words of the output: shifted down to its offset in the word where it
+    starts, and the bits shifted out there in the next word.  Codewords
+    never overlap, so each word is the OR of its pieces.
     """
-    ends = np.cumsum(widths)
+    ends = np.cumsum(widths, dtype=np.int64)
     total = int(ends[-1])
     starts = ends - widths
     word = starts >> 6
-    spill = (starts & 63) + widths - 64  # > 0: bits that go to word + 1
+    offset = (starts & 63).astype(np.uint8)
+    top = values << (64 - widths)
     out = np.zeros(total // 64 + 2, dtype=np.uint64)
-    fits = spill <= 0
-    head = np.empty_like(values)
-    head[fits] = values[fits] << (-spill[fits]).astype(np.uint64)
-    over = ~fits
-    head[over] = values[over] >> spill[over].astype(np.uint64)
     first = np.flatnonzero(np.r_[True, word[1:] != word[:-1]])
-    out[word[first]] = np.bitwise_or.reduceat(head, first)
-    out[word[over] + 1] |= values[over] << (64 - spill[over]).astype(np.uint64)
+    out[word[first]] = np.bitwise_or.reduceat(top >> offset, first)
+    over = np.flatnonzero(offset + widths > 64)
+    out[word[over] + 1] |= top[over] << (64 - offset[over])
     return BitString.from_bytes(out.astype(">u8").tobytes(), total)
 
 
@@ -296,29 +297,24 @@ def encode_grammar(code: SymbolCode, g: DictionaryGrammar) -> BitString:
     """Emit the grammar: each rule's symbols then 0, and a final -1.
 
     The codewords are computed for the whole grammar at once: symbols up to
-    m get ``fixed_len`` bits holding n + 1, a symbol m + j gets ``10``
-    followed by the Elias delta code of j, with its length in closed form.
-    The result equals ``encode_symbol`` applied symbol by symbol, bit for
-    bit.  Raises ValueError when ``code`` and ``g`` disagree on m.
+    m get ``fixed_len`` bits holding n + 1, and a symbol m + j gets ``10``
+    followed by the Elias delta code of j, read from tables of the codeword
+    and its length over j = 1..``num_rules``.  The result equals
+    ``encode_symbol`` applied symbol by symbol, bit for bit.  Raises
+    ValueError when ``code`` and ``g`` disagree on m.
     """
     if code.m != g.m:
         raise ValueError("code and grammar disagree on the alphabet size")
     m = code.m
     syms = np.append(np.insert(g.symbols, g.offsets[1:], 0), -1)
-    values = (syms + 1).astype(np.uint64)
-    widths = np.full(syms.size, code.fixed_len, dtype=np.int64)
-    (delta,) = np.nonzero(syms > m)
-    # m + j is 10, ell zeros, the ell + 1 bits of nbits, the nbits - 1 low bits of j
-    j = syms[delta] - m
-    nbits = bit_lengths(j)
-    width = rank_lengths(j)
-    low = (nbits - 1).astype(np.uint64)
-    values[delta] = (
-        (np.uint64(2) << (width - 2).astype(np.uint64))
-        | (nbits.astype(np.uint64) << low)
-        | (j.astype(np.uint64) ^ (np.uint64(1) << low))
-    )
-    widths[delta] = width
+    # m + j is 10, ell zeros, the ell + 1 bits of nbits and the nbits - 1 low
+    # bits of j: a head that depends only on the length, plus j
+    ref_widths = _rank_length_table(g.num_rules)
+    ref_values = _DELTA_HEADS[ref_widths] + np.arange(1, g.num_rules + 1, dtype=np.uint64)
+    fixed = syms <= m
+    ref = np.maximum(syms - (m + 1), 0)  # 0 for the fixed codewords
+    values = np.where(fixed, (syms + 1).astype(np.uint64), ref_values[ref])
+    widths = np.where(fixed, np.uint8(code.fixed_len), ref_widths[ref])
     return _pack(values, widths)
 
 
@@ -354,65 +350,193 @@ def _delta_lengths() -> np.ndarray:
 _DELTA_LENGTHS = _delta_lengths()
 
 
-def _codeword_lengths(buf: np.ndarray, nbits: int, fixed_len: int) -> bytearray:
-    """Length of the codeword that would start at each bit, 0 where none can.
+def _delta_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Two uint64 tables over the delta codeword lengths 0..75.
 
-    ``buf`` is the payload with at least two zero bytes of padding.  Works
-    through ``_CHUNK_BITS`` bits at a time to keep the 16-bit windows small;
-    the result has one byte per bit, rounded up to whole payload bytes.
+    The first holds nbits - 1 (the length grows with nbits, so it names
+    nbits), the second the head that every codeword m + j of that length
+    adds to j: 10, ell zeros and the ell + 1 bits of nbits, less the leading
+    1 of j.  Lengths that no codeword has, and heads past 64 bits, are 0.
     """
-    table = _DELTA_LENGTHS.copy()
-    table[: 1 << 15] = fixed_len
-    shifts = np.arange(8, dtype=np.uint32)
-    nbytes = (nbits + 7) // 8
-    lengths = bytearray(8 * nbytes)
-    view = np.frombuffer(lengths, dtype=np.uint8)
-    for a in range(0, nbytes, _CHUNK_BITS // 8):
-        b = min(a + _CHUNK_BITS // 8, nbytes)
-        b24 = (
-            (buf[a:b].astype(np.uint32) << 16)
-            | (buf[a + 1 : b + 1].astype(np.uint32) << 8)
-            | buf[a + 2 : b + 2]
-        )
-        view[8 * a : 8 * b] = table[((b24[:, None] << shifts) >> 8) & 0xFFFF].ravel()
-    return lengths
+    low_bits = np.zeros(rank_length(1 << 62) + 1, dtype=np.uint64)
+    heads = np.zeros_like(low_bits)
+    for low in range(63):
+        width = rank_length(1 << low)
+        low_bits[width] = low
+        if width <= 64:
+            heads[width] = (2 << (width - 2) | (low + 1) << low) - (1 << low)
+    return low_bits, heads
 
 
-def _walk(lengths: bytearray, nbits: int) -> tuple[np.ndarray, int]:
-    """Codeword starts from bit 0 on, one integer step per codeword.
+_LOW_BITS, _DELTA_HEADS = _delta_tables()
 
-    Returns the starts below ``nbits`` and the position after the last one;
-    that position is above ``nbits`` when the last codeword runs past the
-    end or cannot start a codeword at all (length 0).
-    """
-    starts = array("q")
-    append = starts.append
-    pos = 0
-    while pos < nbits:
-        append(pos)
-        step = lengths[pos]
-        if not step:
-            pos = nbits + 1
-            break
-        pos += step
-    return np.frombuffer(starts, dtype=np.int64), pos
+# fixed-width codewords per chunk of the parse in decode_grammar, and
+# chunks per slice where the chains' starts are read off their steps
+_CHUNK_CODEWORDS = 128
+_SLICE_CHUNKS = 1024
 
 
-def _windows(buf: np.ndarray, words: np.ndarray, pos: np.ndarray) -> np.ndarray:
+def _windows(words: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """The 64 bits from each bit position ``pos`` on, MSB first, as uint64.
 
-    ``buf`` must hold nine bytes from every ``pos >> 3`` on, and ``words[q]``
-    is the big-endian word of its bytes q..q+7.
+    ``words`` is the payload as 64-bit words, most significant bit first,
+    with a zero word after every ``pos >> 6``.
     """
-    q = pos >> 3
-    shift = (pos & 7).astype(np.uint64)
-    return (words[q].astype(np.uint64) << shift) | (buf[q + 8] >> (8 - shift))
+    q = pos >> 6
+    shift = (pos & 63).astype(np.uint64)
+    return (words[q] << shift) | ((words[q + 1] >> np.uint64(1)) >> (np.uint64(63) - shift))
 
 
-def _top(windows: np.ndarray, width) -> np.ndarray:
-    """The first ``width`` (0..63) bits of each window, as int64."""
-    shift = (63 - np.asarray(width)).astype(np.uint64)
-    return ((windows >> np.uint64(1)) >> shift).astype(np.int64)
+def _walk_from(data: bytes, steps: bytes, pos: int, stop: int, out: array) -> tuple[int, bool]:
+    """Walk the codewords from bit ``pos`` while below ``stop``, one at a time.
+
+    Appends each start to ``out`` and returns the position the walk reached,
+    with True if it stopped there because no codeword can start at it.
+    """
+    append = out.append
+    while pos < stop:
+        append(pos)
+        q = pos >> 3
+        step = steps[((data[q] << 16 | data[q + 1] << 8 | data[q + 2]) >> (8 - (pos & 7))) & 0xFFFF]
+        if not step:
+            return pos, True
+        pos += step
+    return pos, False
+
+
+def _parse(words: np.ndarray, data: bytes, nbits: int, fl: int) -> tuple[np.ndarray, int]:
+    """Codeword starts from bit 0 on, and the position after the last one.
+
+    Returns the starts below ``nbits``.  The position is above ``nbits`` when
+    the last codeword runs past the end, and is ``nbits + 1`` when no
+    codeword can start at the last start, where the parse stops.  ``data``
+    is the payload and ``words`` the same bytes as 64-bit words, both with
+    at least 32 zero bytes after the payload.
+
+    The payload is cut into chunks of ``_CHUNK_CODEWORDS`` fixed-width
+    codewords.  Chunk 0 is walked one codeword at a time from bit 0, which
+    is the parse.  A speculative chain is walked from every later chunk
+    start, all chunks in lockstep, each codeword's length read from the 16
+    bits at its start; where no codeword can start, the chain slides one
+    bit.  The parse enters a chunk where it left the chunk before, which is
+    the chain's exit from that chunk if it met that chain.  From each such
+    entry a second lockstep walk runs until it lands on a codeword start of
+    its chunk's chain, from where the two agree: a prefix code
+    resynchronizes within a few codewords (Klein & Wiseman 2003).  Where a
+    walk leaves its chunk without meeting the chain, anywhere but at the
+    exit, the entries of the chunks after it are wrong, and the parse goes
+    on one codeword at a time until it leaves a chunk at that chunk's exit.
+    The parse stops at the first place where no codeword can start: where a
+    walk stops, or where a chain that the parse met slides.  The secondary
+    rules of a block grammar are fixed width and start at bit 0, so there
+    every chain is the parse.
+    """
+    table = _DELTA_LENGTHS.copy()
+    table[: 1 << 15] = fl
+    steps = table.tobytes()
+    lo = np.arange(0, nbits, _CHUNK_CODEWORDS * fl, dtype=np.int64)
+    hi = np.append(lo[1:], nbits)
+    n = lo.size
+    if not n:
+        return lo, 0
+    later = array("q")  # 8 bytes a start, where a list holds an int object
+    at, stopped = _walk_from(data, steps, 0, int(hi[0]), later)
+    if stopped or n == 1:
+        return np.array(later, np.int64), nbits + 1 if stopped else at
+
+    # every chain's steps, one row per lockstep step (0 once it has left its
+    # chunk, 1 where it slides, as no codeword is shorter than 3 bits), where
+    # each chain leaves, and where it last slid (below its chunk if never)
+    slide = np.maximum(table, 1)
+    exit_, slid = lo.copy(), lo - 1
+    exit_[0] = at
+    rows = []
+    while True:
+        step = slide[_windows(words, exit_) >> np.uint64(48)]
+        step[exit_ >= hi] = 0
+        if not step.any():
+            break
+        rows.append(step)
+        slid = np.where(step == 1, exit_, slid)
+        exit_ = exit_ + step
+    # each chain's codeword starts, chunk after chunk, so ascending; a slice
+    # of chains at a time, so that only the rows take a byte per step
+    counts = np.zeros(n, np.int64)
+    chain = []
+    for c in range(0, n, _SLICE_CHUNKS):
+        cut = slice(c, c + _SLICE_CHUNKS)
+        piece = np.stack([row[cut] for row in rows])
+        place = np.cumsum(piece, axis=0, dtype=np.uint16)
+        place -= piece
+        taken = piece > 1
+        counts[cut] = taken.sum(axis=0)
+        chain.append(place.T[taken.T] + np.repeat(lo[cut], counts[cut]))
+    del rows, piece, place, taken
+    chain = np.concatenate(chain)
+
+    # meet[c]: where the walk from chunk c's entry lands on the chain, hi[c]
+    # if it does not; out[c]: where the parse leaves chunk c, -1 if it stops
+    # in it
+    meet = hi.copy()
+    out = exit_.copy()
+    walked, walked_in = [lo[:0]], [lo[:0]]  # the walks' starts before they meet
+    look = np.append(chain, -1)  # a place after the last that no walk lands on
+    cid = np.arange(1, n)
+    at = exit_[:-1]
+    while cid.size:
+        # a walk that has left its chunk may land on the next chunk's chain:
+        # its meet is then past hi and does not count
+        left = at >= hi[cid]
+        met = look[np.searchsorted(chain, at)] == at
+        meet[cid[met]] = at[met]
+        out[cid[left]] = at[left]
+        go = ~(met | left)
+        cid, at = cid[go], at[go]
+        walked.append(at)
+        walked_in.append(cid)
+        step = table[_windows(words, at) >> np.uint64(48)]
+        out[cid[step == 0]] = -1
+        go = step > 0
+        cid, at = cid[go], at[go] + step[go]
+    del look
+
+    # one codeword at a time from wherever a chunk is left off its exit, and
+    # from the meeting to the slide in a chunk whose chain slides after it
+    skip = np.zeros(n, bool)  # chunks walked here, or past where the parse stops
+    end = int(out[-1])
+    ahead = 0
+    for c in np.flatnonzero((out != exit_) | (slid > meet)).tolist():
+        if c < ahead:
+            continue
+        if slid[c] > meet[c]:  # the parse follows the chain to the slide
+            _walk_from(data, steps, int(meet[c]), int(hi[c]), later)
+            meet[c], out[c] = hi[c], -1
+        if out[c] < 0:
+            skip[c + 1 :] = True
+            end = nbits + 1
+            break
+        if c == n - 1:
+            break
+        at, d = int(out[c]), c + 1
+        while True:
+            at, stopped = _walk_from(data, steps, at, int(hi[d]), later)
+            if stopped or d == n - 1 or at == exit_[d]:
+                break
+            d += 1
+        skip[c + 1 : d + 1] = True
+        ahead = d + 1
+        if stopped:
+            skip[d + 1 :] = True
+            end = nbits + 1
+            break
+        if d == n - 1:
+            end = at
+
+    chain = chain[chain >= np.repeat(np.where(skip, hi, meet), counts)]
+    walked = np.concatenate(walked)
+    extra = np.concatenate((walked[~skip[np.concatenate(walked_in)]], np.frombuffer(later, np.int64)))
+    extra.sort()
+    return np.insert(chain, np.searchsorted(chain, extra), extra), end
 
 
 def _raise_codeword_error(code: SymbolCode, data: bytes, nbits: int, pos: int) -> None:
@@ -426,14 +550,15 @@ def _raise_codeword_error(code: SymbolCode, data: bytes, nbits: int, pos: int) -
 def decode_grammar(code: SymbolCode, bits: BitString) -> DictionaryGrammar:
     """Inverse of :func:`encode_grammar`; validates structure while reading.
 
-    The payload is parsed in three array passes.  First the length of the
-    codeword that would start at each bit position is looked up from the 16
-    bits there (fixed width after ``0``, the Elias delta length after
-    ``10``).  Then the chain of codeword starts is walked from bit 0 with one
-    integer step per codeword.  Last, the symbols at the starts are gathered
-    at once, the rules are split at the 0 separators, and the reference
-    check (every element below the symbol its rule defines) is one array
-    comparison.
+    The codeword starts come from :func:`_parse`, whose chunked lockstep
+    walks look each codeword's length up from the 16 bits at its start
+    (fixed width after ``0``, the Elias delta length after ``10``).  Then
+    one 64-bit window is read at every start: a fixed codeword is its top
+    ``fixed_len`` bits, and a delta codeword, whose length is the distance
+    to the next start, is a head that depends only on that length plus j; a
+    second window is read only for a codeword longer than 64 bits.  The
+    rules are split at the 0 separators, and the reference check (every
+    element below the symbol its rule defines) is one array comparison.
 
     The errors are those of reading the payload codeword by codeword with
     ``decode_symbol``, in reading order: :class:`TruncationError` when the
@@ -447,30 +572,35 @@ def decode_grammar(code: SymbolCode, bits: BitString) -> DictionaryGrammar:
     data = bits.to_bytes()
     m = code.m
     fl = code.fixed_len
-    buf = np.frombuffer(data + bytes(9), dtype=np.uint8)
-    words = np.lib.stride_tricks.sliding_window_view(buf, 8).view(">u8")[:, 0]
-    starts, end = _walk(_codeword_lengths(buf, nbits, fl), nbits)
+    data += bytes(-len(data) % 8 + 32)
+    words = np.frombuffer(data, dtype=">u8").astype(np.uint64)
+    starts, end = _parse(words, data, nbits, fl)
     if end != nbits:
         bad_at = int(starts[-1])  # this codeword is cut off or unassigned
         starts = starts[:-1]
     else:
         bad_at = nbits  # reading one more codeword runs out of bits
 
-    # the walk ends a chain at a terminator only by chance: find the first
+    # the parse ends a chain at a terminator only by chance: find the first
     # terminator (value 0) or unassigned fixed value (above m + 1)
-    value = _top(_windows(buf, words, starts), fl)  # n + 1 for fixed codewords
+    window = _windows(words, starts)
+    value = (window >> np.uint64(64 - fl)).astype(np.int64)  # n + 1 for fixed codewords
     fixed = value < 1 << (fl - 1)
     halts = np.flatnonzero(fixed & ((value == 0) | (value > m + 1)))
     stop = int(halts[0]) if halts.size else starts.size
     sep = fixed[:stop] & (value[:stop] == 1)
-    delta = starts[:stop][~fixed[:stop]]
-    head = _windows(buf, words, delta) << np.uint64(2)  # after 10: ell zeros, nbits, low bits
-    ell = 6 - bit_lengths(_top(head, 6))
-    low = _top(head << ell.astype(np.uint64), ell + 1) - 1  # nbits - 1
-    j = (1 << low) | _top(_windows(buf, words, delta + 3 + 2 * ell), low)
+    # a delta codeword is its length's head plus j; the lengths are the
+    # distances between the starts, and only a codeword longer than its 64-bit
+    # window needs a second window for the low bits of j
+    delta = np.flatnonzero(~fixed[:stop])
+    width = np.diff(starts, append=bad_at)[delta]
+    j = ((window[delta] >> (64 - width).astype(np.uint64)) - _DELTA_HEADS[width]).astype(np.int64)
+    wide = np.flatnonzero(width > 64)  # j >= 2**52, read again here
+    low = _LOW_BITS[width[wide]]
+    tail = _windows(words, starts[delta[wide]] + width[wide] - low.astype(np.int64))
+    j[wide] = (np.uint64(1) << low | tail >> (np.uint64(64) - low)).astype(np.int64)
     # an element of the rule after s separators must be below m + s + 1
-    before = (np.cumsum(sep) - sep)[~fixed[:stop]]
-    forward = np.flatnonzero(j > before)
+    forward = np.flatnonzero(j > np.cumsum(sep)[delta])
     if forward.size:
         raise CorruptionError(
             f"rule element {m + int(j[forward[0]])} references its own or a later symbol"
@@ -487,7 +617,7 @@ def decode_grammar(code: SymbolCode, bits: BitString) -> DictionaryGrammar:
         raise CorruptionError("trailing bits after the grammar terminator")
 
     symbols = value[:stop] - 1
-    symbols[~fixed[:stop]] = m + j
+    symbols[delta] = m + j
     # rule i ends at the i-th separator, after all but i of the codewords before it
     ends = np.flatnonzero(sep)
     offsets = np.zeros(ends.size + 1, dtype=np.int64)

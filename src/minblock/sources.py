@@ -46,8 +46,9 @@ class SourceSpec:
 def _check_prob_vector(p: np.ndarray) -> None:
     if p.ndim != 1 or p.size < 1:
         raise ValueError("probability vector must be one dimensional and nonempty")
-    if p.min() < 0 or abs(p.sum() - 1.0) > 1e-12:
-        raise ValueError("probabilities must be nonnegative and sum to 1")
+    # NaN fails every comparison, so it is refused before them
+    if not np.isfinite(p).all() or p.min() < 0 or abs(p.sum() - 1.0) > 1e-12:
+        raise ValueError("probabilities must be finite, nonnegative and sum to 1")
 
 
 def gen_bernoulli(p, n: int, seed: int) -> np.ndarray:

@@ -66,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bits import BitString, CorruptionError, _check_frame_alphabet
-from .codes import SymbolCode, rank_length, rank_lengths
+from .codes import SymbolCode, _rank_length_table, rank_length
 from .grammar import (
     BlockGrammar,
     DictionaryGrammar,
@@ -195,18 +195,6 @@ def _as_symbols(u, m: int) -> np.ndarray:
     return arr.astype(symbol_dtype(m), copy=False)
 
 
-def _rank_length_table(jmax: int) -> np.ndarray:
-    """Vector of open-class codeword lengths for offsets 1..jmax, as uint8.
-
-    The length is constant on each [2**t, 2**(t+1)), so the table is one run
-    of equal lengths per t.
-    """
-    jmax = max(jmax, 0)
-    starts = 1 << np.arange(jmax.bit_length())
-    # no length exceeds 66, so one byte holds each
-    return np.repeat(rank_lengths(starts).astype(np.uint8), np.minimum(starts, jmax + 1 - starts))
-
-
 def _packed_words(arr: np.ndarray) -> tuple[np.ndarray, int, int]:
     """The w-symbol prefix of every suffix of ``arr`` packed into one word.
 
@@ -277,13 +265,15 @@ def _regroup(rank: np.ndarray, suffixes: np.ndarray, slots: np.ndarray,
     return slots[~(head[:-1] & head[1:])]
 
 
-def _double(sa: np.ndarray, level: np.ndarray, rank: np.ndarray, slots: np.ndarray,
-            h: int) -> np.ndarray:
+def _double(sa: np.ndarray, level: np.ndarray, slots: np.ndarray,
+            h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One doubling round over the tied suffixes at ``slots``.
 
     Sorts them by their group ID in ``level``, then by the group ID h symbols
-    on, writes their new group IDs into ``rank`` and returns the slots still
-    tied.
+    on.  Returns the new group IDs (a copy of ``level``, made after the sort,
+    with those of the tied suffixes replaced), the slots still tied, and the
+    places the round splits: each slot r whose suffix shared a group with the
+    one at r - 1 before the round but not after.
     """
     suffixes = sa[slots]
     key = level[suffixes].astype(np.int64)
@@ -294,29 +284,38 @@ def _double(sa: np.ndarray, level: np.ndarray, rank: np.ndarray, slots: np.ndarr
     suffixes = suffixes[order]
     del order
     sa[slots] = suffixes
-    return _regroup(rank, suffixes, slots, _run_heads(level[suffixes], level[suffixes + h]))
+    first = level[suffixes]
+    head = _run_heads(first, level[suffixes + h])
+    split = slots[1:][head[1:-1] & (first[1:] == first[:-1])]
+    del first
+    rank = level.copy()
+    return rank, _regroup(rank, suffixes, slots, head), split
 
 
-def _lift(levels: list, sa: np.ndarray, common: np.ndarray, words: np.ndarray,
-          w: int, b: int) -> None:
-    """Complete ``common`` for the neighbours that share a word.
+def _split_lcp(levels: list, sa: np.ndarray, split: np.ndarray, words: np.ndarray,
+               w: int, b: int) -> np.ndarray:
+    """LCP of the neighbours at the places ``split`` by the latest round.
 
-    ``levels[j]`` holds the group IDs by the first w * 2**j symbols.  Binary
-    lifting over them, top level first, counts the shared prefix in whole
-    words, and the packed words give the rest.  The list is emptied as it
-    goes, which frees each level after use.
+    The round sorted by ``levels[-1]``, the group IDs by the first h = w *
+    2**j symbols (j = len(levels) - 1), so the neighbours share h symbols and
+    fewer than 2h.  Binary lifting over the levels below, top level first,
+    counts the rest in whole words, and the packed words give what is left
+    below w.  The work runs in slices, so its temporaries are only that
+    large.
     """
-    pairs = common == w
-    a, c = sa[:-1][pairs], sa[1:][pairs]
-    lifted = np.zeros(a.size, sa.dtype)
-    while levels:
-        level = levels.pop()
-        lifted[level[a + lifted] == level[c + lifted]] += w << len(levels)
-    del level
-    a += lifted
-    c += lifted
-    lifted += _shared_symbols(words[a], words[c], w, b)
-    common[pairs] = lifted
+    h = w << (len(levels) - 1)
+    out = np.empty(split.size, sa.dtype)
+    for lo in range(0, split.size, _SLICE):
+        r = split[lo : lo + _SLICE]
+        first = sa[r]
+        a = sa[r - 1] + h
+        c = first + h
+        for j in range(len(levels) - 2, -1, -1):
+            same = levels[j][a] == levels[j][c]
+            a[same] += w << j
+            c[same] += w << j
+        out[lo : lo + _SLICE] = c - first + _shared_symbols(words[a], words[c], w, b)
+    return out
 
 
 class _SuffixIndex(NamedTuple):
@@ -347,12 +346,15 @@ def _suffix_index(arr: np.ndarray) -> _SuffixIndex:
     equal prefixes and the IDs ascend in prefix order.  The rounds stop once
     every group is a single suffix.
 
-    The LCP is summed by binary lifting over the kept ID arrays, top level
-    first: equal IDs at level j mean w * 2**j equal symbols.  Only neighbours
-    that share a word need lifting.  The remainder below w is the number of
-    leading symbols two words share, read off the highest set bit of their
-    XOR.  When the word sort already separates every suffix, that one pass
-    is the whole LCP.
+    The LCP of neighbours in different word groups is the number of leading
+    symbols their words share, read off the highest set bit of their XOR;
+    when the word sort already separates every suffix, that one pass is the
+    whole LCP.  Neighbours that a round parts share h symbols but not 2h, so
+    right after the round their LCP is h plus binary lifting over the kept
+    ID arrays below its level, top level first (equal IDs at level j mean
+    w * 2**j equal symbols), plus the shared symbols of the words there.
+    The first round's neighbours need no lifting, only the words h on.  The
+    ID arrays are kept until the last round's neighbours are lifted.
     """
     n = arr.size
     dtype = np.int32 if n < 2**31 else np.int64
@@ -364,17 +366,18 @@ def _suffix_index(arr: np.ndarray) -> _SuffixIndex:
     # exact for neighbours in different word groups, w within one; rounds
     # only reorder suffixes inside a group, so this stays true
     common = _shared_symbols(sorted_words[:-1], sorted_words[1:], w, b).astype(dtype)
+    head = _run_heads(sorted_words)
+    del sorted_words
     rank = np.empty(n + 1, dtype)
     rank[n] = -1  # the empty suffix ranks first
-    tied = _regroup(rank, sa, np.arange(n, dtype=dtype), _run_heads(sorted_words))
-    del sorted_words
+    tied = _regroup(rank, sa, np.arange(n, dtype=dtype), head)
+    del head
     levels = []  # level j: group IDs by the first w * 2**j symbols
     while tied.size:
         levels.append(rank)
-        rank = rank.copy()
-        tied = _double(sa, levels[-1], rank, tied, w << (len(levels) - 1))
-    if levels:
-        _lift(levels, sa, common, words, w, b)
+        rank, tied, split = _double(sa, rank, tied, w << (len(levels) - 1))
+        common[split - 1] = _split_lcp(levels, sa, split, words, w, b)
+    del levels
     return _SuffixIndex(rank[:n], np.concatenate((np.zeros(1, dtype), common)), words, w, b)
 
 

@@ -146,6 +146,39 @@ def test_encode_with_alphabet_file_compresses_better(tmp_path):
     assert run(["decode", compact, tmp_path / "x"]) == 1
 
 
+@pytest.mark.parametrize("alphabet", [b"cbadxyz", b"ab"])
+def test_decode_refuses_an_alphabet_of_another_size(tmp_path, capsys, alphabet):
+    src = tmp_path / "s.txt"
+    src.write_bytes(b"abcabcabcabc")
+    enc = tmp_path / "s.mblk"
+    assert run(["encode", src, enc, "--alphabet-from-file", src]) == 0
+    other = tmp_path / "other.txt"
+    other.write_bytes(alphabet)
+    back = tmp_path / "back.txt"
+    capsys.readouterr()
+    assert run(["decode", enc, back, "--alphabet-from-file", other]) == 1
+    assert not back.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: alphabet size {len(alphabet)} does not match the payload's 3"
+    ]
+
+
+def test_decode_refuses_a_symbol_the_alphabet_lacks(tmp_path, capsys):
+    # m = 2 is the smallest frame, so a one-byte alphabet has its size; the
+    # encoder never writes symbol 2 for it, but a frame can hold it
+    enc = tmp_path / "two.mblk"
+    enc.write_bytes(transform.compress(np.array([1, 2, 1]), 2))
+    one = tmp_path / "one.txt"
+    one.write_bytes(b"aaaa")
+    back = tmp_path / "back.txt"
+    capsys.readouterr()
+    assert run(["decode", enc, back, "--alphabet-from-file", one]) == 1
+    assert not back.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the payload uses symbol 2, which the alphabet file has no byte for"
+    ]
+
+
 def test_exit_codes(tmp_path):
     assert run(["encode", tmp_path / "missing", tmp_path / "o"]) == 2
     bad = tmp_path / "bad.mblk"
@@ -516,6 +549,22 @@ def test_a_malformed_markov_table_is_a_usage_error(tmp_path, capsys, table):
         assert run(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: bad markov table '{path}'")
+    assert not (tmp_path / "g.bin").exists() and not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["bernoulli:nan", "bernoulli:0.5,nan", "markov"])
+def test_a_non_finite_probability_is_a_usage_error(tmp_path, capsys, kind):
+    if kind == "markov":
+        path = tmp_path / "T.json"
+        path.write_text('{"transitions": [[0.5, 0.5], [NaN, 1.0]]}')  # json reads NaN
+        kind = f"markov:{path}"
+    capsys.readouterr()
+    for argv in (["gen", kind, tmp_path / "g.bin", "--n", 10],
+                 ["sweep", "--source", kind, "--csv", tmp_path / "r.csv", "--n-grid", "16"]):
+        assert run(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: probabilities must be finite, nonnegative and sum to 1"
+        ]
     assert not (tmp_path / "g.bin").exists() and not (tmp_path / "r.csv").exists()
 
 

@@ -1,6 +1,7 @@
 """Grammar model: expansion, encoding, decoding, and shape validation."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from minblock import (
     ExpansionLimitError,
     SymbolCode,
     TruncationError,
+    compress,
     decode_grammar,
     decode_symbol,
     encode_grammar,
@@ -24,8 +26,11 @@ from minblock import (
     expand,
     grammar_code_length,
     is_block_shaped,
+    permute_characters,
 )
-from minblock.grammar import symbol_dtype
+from minblock import grammar
+from minblock.bits import unpack_frame
+from minblock.grammar import _parse, symbol_dtype
 from minblock.oracle import encode_by_codeword
 
 from reference import block_shape_error, is_block_shaped_by_rule
@@ -431,31 +436,24 @@ def test_array_codec_rule_ids_past_2_20():
     assert decode_grammar(code, bits) == g
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    m=st.sampled_from(ALPHABETS),
-    kind=st.sampled_from(
-        ["prefix", "11", "unassigned", "ell>63", "nbits>63", "forward", "terminator",
-         "empty", "trailing"]
-    ),
-    where=st.floats(0, 1),
-    replace=st.booleans(),
-    nbits=st.integers(1, 63),
-)
-@example(seed=0, m=2, kind="forward", where=0.5, replace=False, nbits=63)
-def test_array_decoder_raises_as_codeword_loop(seed, m, kind, where, replace, nbits):
-    rng = np.random.Generator(np.random.Philox(seed))
-    code = SymbolCode(m)
-    g = random_grammar(rng, m, int(rng.integers(1, 20)), cite=0.5)
+DAMAGE = ["prefix", "last", "11", "unassigned", "ell>63", "nbits>63", "forward", "terminator",
+          "empty", "trailing"]
+
+
+def _assert_damage_raises_as_codeword_loop(rng, code, g, kind, where, replace, nbits):
+    """Damage the payload of ``g`` near the codeword at ``where`` (a fraction
+    of the payload) and check that the decoder fails as the codeword loop."""
+    m = code.m
+    fl = code.fixed_len
     # the payload, cut at codeword boundaries; the insert may replace a codeword
     words = [encode_symbol(code, e).to01() for rule in g.rules for e in rule + (0,)]
     words.append(encode_symbol(code, -1).to01())
     cut = min(int(where * len(words)), len(words) - 1)
-    fl = code.fixed_len
     if kind == "prefix":
         payload = "".join(words)
         bits = payload[: int(where * (len(payload) - 1))]
+    elif kind == "last":  # cut inside the terminator
+        bits = "".join(words)[: -int(rng.integers(1, fl))]
     elif kind == "empty":
         bits = words[-1]
     else:
@@ -478,11 +476,211 @@ def test_array_decoder_raises_as_codeword_loop(seed, m, kind, where, replace, nb
             insert = ""
             words.append("".join(rng.choice(["0", "1"], int(rng.integers(1, 80)))))
         bits = "".join(words[:cut]) + insert + "".join(words[cut + replace :])
-    payload = BitString.from01(bits)
+    payload = _from01(bits)
     want = outcome(decode_by_codeword, code, payload)
     assert outcome(decode_grammar, code, payload) == want
-    if kind == "prefix":
+    if kind in ("prefix", "last"):
         assert want is TruncationError
+
+
+def _from01(s: str) -> BitString:
+    """``BitString.from01`` of a long string, in one step."""
+    value = int(s, 2) << (-len(s) % 8) if s else 0
+    return BitString.from_bytes(value.to_bytes((len(s) + 7) // 8, "big"), len(s))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.sampled_from(ALPHABETS),
+    kind=st.sampled_from(DAMAGE),
+    where=st.floats(0, 1),
+    replace=st.booleans(),
+    nbits=st.integers(1, 63),
+)
+@example(seed=0, m=2, kind="forward", where=0.5, replace=False, nbits=63)
+def test_array_decoder_raises_as_codeword_loop(seed, m, kind, where, replace, nbits):
+    rng = np.random.Generator(np.random.Philox(seed))
+    g = random_grammar(rng, m, int(rng.integers(1, 20)), cite=0.5)
+    _assert_damage_raises_as_codeword_loop(rng, SymbolCode(m), g, kind, where, replace, nbits)
+
+
+def chunky_grammar(rng, m) -> DictionaryGrammar:
+    """Hundreds of terminal blocks, then a primary of thousands of
+    references and a long terminal run: a payload of dozens of parse chunks,
+    with fixed-width codewords at both ends."""
+    k = int(rng.integers(1, 6))
+    d = int(rng.integers(200, 500))
+    blocks = rng.integers(1, m + 1, (d, k))
+    primary = np.concatenate([rng.integers(m + 1, m + d + 1, int(rng.integers(2000, 4000))),
+                              rng.integers(1, m + 1, int(rng.integers(1000, 3000)))])
+    return DictionaryGrammar.from_arrays(
+        m, np.concatenate([blocks.ravel(), primary]),
+        np.append(np.arange(0, d * k + 1, k), d * k + primary.size),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.sampled_from(ALPHABETS),
+    kind=st.sampled_from(DAMAGE),
+    where=st.floats(0.6, 1),
+    replace=st.booleans(),
+    nbits=st.integers(1, 63),
+)
+def test_array_decoder_raises_as_codeword_loop_in_a_late_chunk(seed, m, kind, where, replace,
+                                                                nbits):
+    rng = np.random.Generator(np.random.Philox(seed))
+    g = chunky_grammar(rng, m)
+    _assert_damage_raises_as_codeword_loop(rng, SymbolCode(m), g, kind, where, replace, nbits)
+
+
+def starts_by_codeword(s: str, fl: int) -> tuple[list[int], int]:
+    """Reference parse of the 01-string ``s``: codeword starts read one at a
+    time from bit 0, and where the reading ends (past the end, or len(s) + 1
+    after a start where no codeword can start)."""
+    starts, pos = [], 0
+    while pos < len(s):
+        starts.append(pos)
+        window = s[pos : pos + 16].ljust(16, "0")
+        if window[0] == "0":
+            pos += fl
+            continue
+        ell = (window[2:] + "1").index("1")  # zeros after 10
+        if window[1] == "1" or ell > 5:  # 11, or nbits > 63
+            return starts, len(s) + 1
+        # 10, ell zeros, the ell + 1 bits of nbits, the nbits - 1 low bits of j
+        pos += 2 * ell + 2 + int(window[2 + ell : 3 + 2 * ell], 2)
+    return starts, pos
+
+
+def _parse_payload(bits: BitString, fl: int, chunk_codewords: int):
+    data = bits.to_bytes()
+    data += bytes(-len(data) % 8 + 32)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grammar, "_CHUNK_CODEWORDS", chunk_codewords)
+        starts, end = _parse(np.frombuffer(data, ">u8").astype(np.uint64), data, len(bits), fl)
+    return starts.tolist(), end
+
+
+def test_parse_matches_the_codeword_loop():
+    # random bits, periodic reference runs, payloads with flipped bits, cut
+    # short, written twice or with a run of ones put in: the chunked parse
+    # finds the same starts and end
+    rng = np.random.Generator(np.random.Philox(15))
+    for trial in range(300):
+        m = int(rng.choice(ALPHABETS))
+        fl = SymbolCode(m).fixed_len
+        form = trial % 6
+        if form == 0:
+            s = "".join(rng.choice(["0", "1"], int(rng.integers(0, 20000))))
+        else:
+            if form == 1:
+                period = int(rng.integers(1, 4))
+                refs = np.resize(np.arange(m + 1, m + period + 1), int(rng.integers(1, 3000)))
+                g = DictionaryGrammar.from_arrays(
+                    m, np.concatenate([np.ones(period, np.int64), refs]),
+                    np.append(np.arange(period + 1), period + refs.size),
+                )
+            else:
+                g = chunky_grammar(rng, m)
+            s = encode_grammar(SymbolCode(m), g).to01()
+            if form == 2:
+                chars = list(s)
+                for i in rng.integers(0, len(s), int(rng.integers(1, 4))).tolist():
+                    chars[i] = "10"[int(chars[i])]
+                s = "".join(chars)
+            elif form == 3:
+                s = s[: int(rng.integers(0, len(s)))]
+            elif form == 4:
+                s += s
+            elif form == 5:
+                cut = int(rng.integers(0, len(s)))
+                s = s[:cut] + "1" * int(rng.integers(1, 5000)) + s[cut:]
+        want = starts_by_codeword(s, fl)
+        # chunks as decode_grammar cuts them, and chunks of a few codewords,
+        # where most walks cross chunks and many chains stop
+        for chunk_codewords in (grammar._CHUNK_CODEWORDS, 3):
+            assert _parse_payload(_from01(s), fl, chunk_codewords) == want
+
+
+@pytest.mark.parametrize("fl", [3, 8])
+@pytest.mark.parametrize("ones", [1, 700, 3000])
+def test_parse_where_no_chain_finds_a_codeword(fl, ones):
+    # chunk 0 holds codewords, and every chain after it only slides
+    s = "0" * (128 * fl) + "1" * ones
+    for chunk_codewords in (grammar._CHUNK_CODEWORDS, 3):
+        assert _parse_payload(_from01(s), fl, chunk_codewords) == starts_by_codeword(s, fl)
+
+
+@pytest.mark.parametrize("m", [2, 3, 256])
+@pytest.mark.parametrize("period", [1, 2, 3])
+def test_decode_of_periodic_references_takes_linear_time(m, period):
+    # the payload repeats with a period of a few codewords, so a chain that
+    # starts out of step may never meet the parse; the parse then goes on one
+    # codeword at a time, at no more than a pass per codeword
+    k = 4
+    refs = np.resize(np.arange(m + 1, m + period + 1), 1 << 18)
+    g = DictionaryGrammar.from_arrays(
+        m, np.concatenate([np.arange(period * k) % m + 1, refs]),
+        np.append(np.arange(0, period * k + 1, k), period * k + refs.size),
+    )
+    code = SymbolCode(m)
+    bits = encode_grammar(code, g)
+    start = time.perf_counter()
+    assert decode_grammar(code, bits) == g
+    assert time.perf_counter() - start < 1.0
+
+
+def test_decode_memory_at_file_size(corpus_symbols):
+    # the permuted 2**20 corpus prefix: 7.3M payload bits, 535k codewords
+    # (58.4 MB with a length byte per payload bit)
+    u = permute_characters(corpus_symbols[0][: 1 << 20], 1)
+    m, bits = unpack_frame(compress(u, 66))
+    code = SymbolCode(m)
+    tracemalloc.start()
+    try:
+        g = decode_grammar(code, bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(expand(g), u)
+    assert peak < 48e6
+
+
+def test_decode_memory_on_a_corrupt_tail():
+    # a valid start, then 2 MiB of 0xff: every chain from a chunk in the tail
+    # slides one bit per step, and only its codeword starts (none) are kept
+    # (32 B per payload bit when each slide was kept as a start, 1.3 with a
+    # length byte per payload bit)
+    m = 66
+    code = SymbolCode(m)
+    g = DictionaryGrammar(m, ((1, 2), (3, 4), (m + 1, m + 2) * 500))
+    data = encode_grammar(code, g).to_bytes()[:-2] + b"\xff" * (1 << 21)
+    bits = BitString.from_bytes(data, 8 * len(data))
+    assert outcome(decode_by_codeword, code, bits) is CorruptionError
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptionError, match="unassigned prefix 11"):
+            decode_grammar(code, bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(bits)
+
+
+def test_decode_of_the_wide_chain_takes_linear_time():
+    # a unary chain of d rules, its top cited d times: 26-bit references
+    # that repeat, after delta codewords of every length up to theirs
+    m, d = 256, 50_000
+    g = DictionaryGrammar(m, ((1,),) + tuple((s,) for s in range(m + 1, m + d))
+                          + ((m + d,) * d,))
+    code = SymbolCode(m)
+    bits = encode_grammar(code, g)
+    start = time.perf_counter()
+    assert decode_grammar(code, bits) == g
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize(

@@ -35,6 +35,16 @@ def test_bernoulli_validation():
         gen_bernoulli([0.5, 0.5], -1, seed=0)
 
 
+@pytest.mark.parametrize("probs", [[np.nan, np.nan], [0.5, np.nan], [np.nan, 1.0],
+                                   [np.inf, -np.inf], [1.0, np.inf]])
+def test_probabilities_must_be_finite(probs):
+    # NaN fails every comparison, so a range check alone lets it through
+    with pytest.raises(ValueError, match="finite"):
+        gen_bernoulli(probs, 10, seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        gen_markov([[0.5, 0.5], probs], 10, seed=0)
+
+
 def test_markov_rows_and_determinism():
     table = [[0.9, 0.1], [0.2, 0.8]]
     a = gen_markov(table, 5000, seed=3)

@@ -1,6 +1,7 @@
 """Transform: parse costs, global optimality, round trips, determinism."""
 
 import hashlib
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -269,6 +270,21 @@ def test_shared_symbols_read_the_bit_length_of_the_difference():
         want = [(w * b - (int(p) ^ int(q)).bit_length()) // b for p, q in zip(x, y)]
         assert got.tolist() == want, b
         assert got[0] == w
+
+
+def test_suffix_index_memory_at_file_size(corpus_symbols):
+    # the 2**20 corpus prefix takes two doubling rounds; each round's splits
+    # are lifted in slices, and the rank copy is made after the round's sort
+    # (47.1 MB before either)
+    x = corpus_symbols[0][: 1 << 20]
+    tracemalloc.start()
+    try:
+        index = _suffix_index(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert index.lcp.max() > 2 * index.w  # past the first doubling round
+    assert peak < 44e6
 
 
 def test_rank_length_table_is_exact_in_one_byte():
