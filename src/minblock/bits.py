@@ -104,19 +104,13 @@ class BitString:
 
 
 class BitReader:
-    """Single-owner cursor over a BitString (or raw bytes plus a bit count)."""
+    """Single-owner cursor over a BitString."""
 
     __slots__ = ("_data", "_bitlen", "_pos")
 
-    def __init__(self, bits: BitString | bytes, bit_length: int | None = None):
-        if isinstance(bits, BitString):
-            self._data = bits.to_bytes()
-            self._bitlen = len(bits)
-        else:
-            self._data = bytes(bits)
-            self._bitlen = 8 * len(self._data) if bit_length is None else bit_length
-            if self._bitlen > 8 * len(self._data):
-                raise ValueError("bit length exceeds the buffer")
+    def __init__(self, bits: BitString):
+        self._data = bits.to_bytes()
+        self._bitlen = len(bits)
         self._pos = 0
 
     @property

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .analysis import _mi_and_joint, hilberg_exponent, block_entropy, mi_bound
-from .bits import CodecError
+from .bits import CodecError, unpack_frame
 from .codes import SymbolCode
 from .plot import Series, render_loglog_svg
 from .sources import (
@@ -34,7 +34,7 @@ from .sources import (
     permute_characters,
     realize,
 )
-from .transform import compress, decompress, minimal_block_transform
+from .transform import compress, decode, minimal_block_transform
 
 _DEFAULT_GRID = "2^10..2^22"
 _DECODE_LIMIT = 1 << 31
@@ -73,8 +73,9 @@ class ExperimentRecord:
 CSV_FIELDS = tuple(f.name for f in fields(ExperimentRecord))
 
 
-def _write_atomic(outputs: dict[str, bytes]) -> None:
-    """Write each path's bytes to a temporary sibling, then rename them all.
+def _write_atomic(outputs: dict[str, bytes | np.ndarray]) -> None:
+    """Write each path's bytes (or array buffer) to a temporary sibling, then
+    rename them all.
 
     No output is renamed into place until every one is written.  Each gets
     the mode a new file gets under the process umask.
@@ -293,7 +294,9 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    symbols, m = decompress(_read_bytes(args.input), max_len=_DECODE_LIMIT)
+    # the alphabet is checked against the frame's m before the payload is
+    # expanded, which may take gigabytes
+    m, bits = unpack_frame(_read_bytes(args.input))
     if not args.alphabet_from_file and m != 256:
         raise UsageError(
             "payload uses a custom alphabet; pass --alphabet-from-file with "
@@ -305,6 +308,7 @@ def _cmd_decode(args) -> int:
         raise UsageError(
             f"alphabet size {len(alphabet)} does not match the payload's {m}"
         )
+    symbols = decode(SymbolCode(m), bits, max_len=_DECODE_LIMIT)
     # so a one-byte alphabet fits a frame of m = 2, which can still hold symbol 2
     top = int(symbols.max()) if symbols.size else 0
     if top > len(alphabet):
@@ -312,7 +316,7 @@ def _cmd_decode(args) -> int:
             f"the payload uses symbol {top}, which the alphabet file has no byte for"
         )
     table = np.array([0, *alphabet], dtype=np.uint8)  # the byte of symbol s is table[s]
-    _write_atomic({args.output: table[symbols].tobytes()})
+    _write_atomic({args.output: table[symbols]})
     return 0
 
 

@@ -32,20 +32,22 @@ and accept exactly the same bits, and the parser raises the same error class
 
 from __future__ import annotations
 
+import operator
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, chain
 
 import numpy as np
 
 from .bits import BitReader, BitString, CorruptionError, ExpansionLimitError
 from .codes import (
+    _DELTA_HEADS,
+    _DELTA_WINDOW,
+    _LOW_BITS,
     SymbolCode,
     _rank_length_table,
     decode_symbol,
-    rank_length,
-    rank_lengths,
 )
 
 Rule = tuple[int, ...]
@@ -68,8 +70,9 @@ class DictionaryGrammar:
     arrays are read-only.  ``DictionaryGrammar(m, rules)`` takes the rules
     as sequences of ints; :meth:`from_arrays` takes the two arrays as they
     are, without copying them.  Both check the same rules and raise the same
-    ``ValueError``: m is at least 1, there is at least a primary rule, and
-    every element of rule i lies in 1..m+i-1.  ``rules`` is the table as
+    ``ValueError``: m is an integer of at least 1 (TypeError if not an
+    integer), there is at least a primary rule, and every element of rule i
+    lies in 1..m+i-1.  ``rules`` is the table as
     tuples of ints; it is built from the arrays the first time it is read
     (a grammar made from tuples keeps those).  Equal grammars have equal m
     and equal arrays, and hash alike.
@@ -114,7 +117,7 @@ class DictionaryGrammar:
 
         ``symbols`` is None when an element does not fit in int64.
         """
-        m = int(m)
+        m = operator.index(m)
         if m < 1:
             raise ValueError("alphabet size must be at least 1")
         if offsets.size < 2:
@@ -326,49 +329,10 @@ def grammar_code_length(code: SymbolCode, g: DictionaryGrammar) -> int:
     """
     if code.m != g.m:
         raise ValueError("code and grammar disagree on the alphabet size")
-    refs = g.symbols[g.symbols > g.m] - g.m
+    refs = g.symbols[g.symbols > g.m] - g.m  # each below num_rules
     fixed = g.symbols.size - refs.size + g.num_rules + 1
-    return fixed * code.fixed_len + int(rank_lengths(refs).sum())
+    return fixed * code.fixed_len + int(_rank_length_table(g.num_rules)[refs - 1].sum())
 
-
-def _delta_lengths() -> np.ndarray:
-    """Length of the ``10`` codeword opening a 16-bit window, by window value.
-
-    ``10``, ell zeros, then the ell + 1 bits of nbits: this prefix fits in 13
-    bits for every nbits <= 63 (ell <= 5).  Windows that open with ``0`` or
-    ``11``, or with ``10`` and six or more zeros (so nbits > 63), are 0.
-    """
-    table = np.zeros(1 << 16, dtype=np.uint8)
-    for nbits in range(1, 64):
-        prefix_len = 2 * nbits.bit_length() + 1
-        prefix = (0b10 << (prefix_len - 2)) | nbits
-        lo = prefix << (16 - prefix_len)
-        table[lo : lo + (1 << (16 - prefix_len))] = rank_length(1 << (nbits - 1))
-    return table
-
-
-_DELTA_LENGTHS = _delta_lengths()
-
-
-def _delta_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Two uint64 tables over the delta codeword lengths 0..75.
-
-    The first holds nbits - 1 (the length grows with nbits, so it names
-    nbits), the second the head that every codeword m + j of that length
-    adds to j: 10, ell zeros and the ell + 1 bits of nbits, less the leading
-    1 of j.  Lengths that no codeword has, and heads past 64 bits, are 0.
-    """
-    low_bits = np.zeros(rank_length(1 << 62) + 1, dtype=np.uint64)
-    heads = np.zeros_like(low_bits)
-    for low in range(63):
-        width = rank_length(1 << low)
-        low_bits[width] = low
-        if width <= 64:
-            heads[width] = (2 << (width - 2) | (low + 1) << low) - (1 << low)
-    return low_bits, heads
-
-
-_LOW_BITS, _DELTA_HEADS = _delta_tables()
 
 # fixed-width codewords per chunk of the parse in decode_grammar, and
 # chunks per slice where the chains' starts are read off their steps
@@ -404,6 +368,22 @@ def _walk_from(data: bytes, steps: bytes, pos: int, stop: int, out: array) -> tu
     return pos, False
 
 
+@cache  # fl is at most 34, so at most 32 entries
+def _step_tables(fl: int) -> tuple[np.ndarray, bytes, np.ndarray]:
+    """Codeword length by the 16 bits at its start, 0 where none can start.
+
+    A window opening with ``0`` is a fixed codeword of ``fl`` bits, and one
+    opening with ``1`` is looked up in the delta table.  Returned read-only,
+    as an array and as bytes, and with every 0 raised to 1: a chain's step,
+    which slides one bit where no codeword starts.
+    """
+    table = _DELTA_WINDOW.copy()
+    table[: 1 << 15] = fl
+    slide = np.maximum(table, 1)
+    table.flags.writeable = slide.flags.writeable = False
+    return table, table.tobytes(), slide
+
+
 def _parse(words: np.ndarray, data: bytes, nbits: int, fl: int) -> tuple[np.ndarray, int]:
     """Codeword starts from bit 0 on, and the position after the last one.
 
@@ -431,9 +411,7 @@ def _parse(words: np.ndarray, data: bytes, nbits: int, fl: int) -> tuple[np.ndar
     rules of a block grammar are fixed width and start at bit 0, so there
     every chain is the parse.
     """
-    table = _DELTA_LENGTHS.copy()
-    table[: 1 << 15] = fl
-    steps = table.tobytes()
+    table, steps, slide = _step_tables(fl)
     lo = np.arange(0, nbits, _CHUNK_CODEWORDS * fl, dtype=np.int64)
     hi = np.append(lo[1:], nbits)
     n = lo.size
@@ -447,7 +425,6 @@ def _parse(words: np.ndarray, data: bytes, nbits: int, fl: int) -> tuple[np.ndar
     # every chain's steps, one row per lockstep step (0 once it has left its
     # chunk, 1 where it slides, as no codeword is shorter than 3 bits), where
     # each chain leaves, and where it last slid (below its chunk if never)
-    slide = np.maximum(table, 1)
     exit_, slid = lo.copy(), lo - 1
     exit_[0] = at
     rows = []
@@ -541,7 +518,7 @@ def _parse(words: np.ndarray, data: bytes, nbits: int, fl: int) -> tuple[np.ndar
 
 def _raise_codeword_error(code: SymbolCode, data: bytes, nbits: int, pos: int) -> None:
     """Raise the error ``decode_symbol`` raises on the codeword at bit ``pos``."""
-    reader = BitReader(data[pos >> 3 :], nbits - (pos & ~7))
+    reader = BitReader(BitString.from_bytes(data[pos >> 3 :], nbits - (pos & ~7)))
     reader.read_bits(pos & 7)
     decode_symbol(code, reader)
     raise AssertionError(f"no codeword error at bit {pos}")

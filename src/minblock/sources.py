@@ -104,14 +104,12 @@ def first_appearance_alphabet(data: bytes) -> list[int]:
 
 def map_bytes_to_symbols(data: bytes, alphabet: list[int]) -> np.ndarray:
     """Translate raw bytes to symbols 1..m using a first-appearance alphabet."""
-    arr = np.frombuffer(data, dtype=np.uint8)
-    lookup = np.zeros(256, dtype=np.uint16)
-    for i, b in enumerate(alphabet, start=1):
-        lookup[b] = i
-    if arr.size and not lookup[arr].all():
-        missing = int(arr[lookup[arr] == 0][0])
-        raise ValueError(f"byte {missing:#04x} is not in the alphabet")
-    return lookup[arr].astype(symbol_dtype(len(alphabet) or 1))
+    lookup = np.zeros(256, dtype=symbol_dtype(len(alphabet) or 1))
+    lookup[alphabet] = np.arange(1, len(alphabet) + 1)
+    symbols = lookup[np.frombuffer(data, dtype=np.uint8)]
+    if not symbols.all():  # symbol 0 marks a byte outside the alphabet
+        raise ValueError(f"byte {data[int(symbols.argmin())]:#04x} is not in the alphabet")
+    return symbols
 
 
 def ingest_corpus(path) -> tuple[np.ndarray, list[int]]:

@@ -66,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bits import BitString, CorruptionError, _check_frame_alphabet
-from .codes import SymbolCode, _rank_length_table, rank_length
+from .codes import SymbolCode, _rank_length_sum, _rank_length_table, rank_length
 from .grammar import (
     BlockGrammar,
     DictionaryGrammar,
@@ -465,7 +465,7 @@ def _price(fl: int, k: int, blocks: int, runs: int, refs: int) -> int:
     return (blocks * (k + 1) + runs + 2) * fl + refs
 
 
-def _floor(fl: int, k: int, p: int, repeats: int, runs: int, cum_rank_len: np.ndarray) -> int:
+def _floor(fl: int, k: int, p: int, repeats: int, runs: int) -> int:
     """Fewest bits of a parse of ``p`` blocks and ``runs`` terminals in which
     at most ``repeats`` blocks repeat an earlier block.
 
@@ -473,11 +473,11 @@ def _floor(fl: int, k: int, p: int, repeats: int, runs: int, cum_rank_len: np.nd
     least ``max(1, s)`` rules; they are singletons when ``repeats`` counts
     the places whose k-gram occurs twice or more.  Each singleton, like each
     distinct block, takes a rank of its own, so together they cost at least
-    the s cheapest ranks, ``cum_rank_len[s]``, and every other reference at
-    least the 3 bits of rank 1.
+    the s cheapest ranks, ranks 1..s, and every other reference at least
+    the 3 bits of rank 1.
     """
     s = max(0, p - repeats)
-    return _price(fl, k, max(1, s), runs, int(cum_rank_len[s]) + 3 * (p - s))
+    return _price(fl, k, max(1, s), runs, _rank_length_sum(s) + 3 * (p - s))
 
 
 def _sweep(code: SymbolCode, index: _SuffixIndex, lo: int, hi: int, reach: np.ndarray,
@@ -502,8 +502,6 @@ def _sweep(code: SymbolCode, index: _SuffixIndex, lo: int, hi: int, reach: np.nd
         return best, None
     order, below = _reach_order(reach, kcap)
     rank_len = _rank_length_table(n)
-    cum_rank_len = np.zeros(n + 1, np.int64)
-    np.cumsum(rank_len, dtype=np.int64, out=cum_rank_len[1:])
 
     for k in range(1, kcap + 1):
         if (k + 1) * fl >= best:
@@ -514,7 +512,7 @@ def _sweep(code: SymbolCode, index: _SuffixIndex, lo: int, hi: int, reach: np.nd
 
         # cheapest conceivable cost of any phase, whose block count is one
         # of these, given the duplicate count of the whole block length
-        if all(_floor(fl, k, p, dups, n - p * k, cum_rank_len) >= best
+        if all(_floor(fl, k, p, dups, n - p * k) >= best
                for p in {p_hi, max(p_hi - 1, 1)}):
             continue
 
@@ -528,7 +526,7 @@ def _sweep(code: SymbolCode, index: _SuffixIndex, lo: int, hi: int, reach: np.nd
         for l in range(0, min(k, n - k + 1)):
             p = (n - l) // k
             runs = n - p * k
-            if _floor(fl, k, p, int(per_shift[l]), runs, cum_rank_len) >= best:
+            if _floor(fl, k, p, int(per_shift[l]), runs) >= best:
                 continue
             start = lo + l
             if k <= w:
@@ -547,7 +545,7 @@ def _sweep(code: SymbolCode, index: _SuffixIndex, lo: int, hi: int, reach: np.nd
             head = _run_heads(keys)
             distinct = int(np.count_nonzero(head)) - 1
             # all but the first block of each class repeat an earlier one
-            if _floor(fl, k, p, p - distinct, runs, cum_rank_len) >= best:
+            if _floor(fl, k, p, p - distinct, runs) >= best:
                 continue
             heads = np.flatnonzero(head)
             counts = heads[1:] - heads[:-1]
@@ -656,9 +654,9 @@ def compress(u, m: int, *, kmax: int | None = None) -> bytes:
     # (TRACED in perfbench/workloads.py), which a top-level import would skip
     from .bits import pack_frame
 
-    _check_frame_alphabet(m)  # before the search, which would be wasted
     code = SymbolCode(m)
-    return pack_frame(m, encode(code, u, kmax=kmax))
+    _check_frame_alphabet(code.m)  # before the search, which would be wasted
+    return pack_frame(code.m, encode(code, u, kmax=kmax))
 
 
 def decompress(data: bytes, *, max_len: int | None = None) -> tuple[np.ndarray, int]:

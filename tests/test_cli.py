@@ -126,8 +126,43 @@ def test_decode_memory_per_output_byte(tmp_path):
         tracemalloc.stop()
     want = np.concatenate([[7, 8], blocks[refs - (m + 1)].ravel(), [9]]) - 1
     assert dec.read_bytes() == want.astype(np.uint8).tobytes()
-    # the uint16 symbols, the bytes and their copy for the file: 4 bytes
-    assert peak / want.size < 6.0
+    # the uint16 symbols and the bytes written from their array: 3 bytes
+    assert peak / want.size < 3.5
+
+
+@pytest.mark.parametrize("alphabet", [None, b"ab"])
+def test_decode_refuses_the_alphabet_before_expanding(tmp_path, capsys, alphabet):
+    # 2**17 references to 1024-symbol blocks: 2**27 symbols from a frame of
+    # about 90 kB, at m = 3, which neither all bytes nor two bytes fit
+    m, k, d = 3, 1024, 4
+    rng = np.random.Generator(np.random.Philox(4))
+    primary = rng.integers(m + 1, m + d + 1, 1 << 17)
+    g = DictionaryGrammar.from_arrays(
+        m, np.concatenate([rng.integers(1, m + 1, d * k), primary]),
+        np.append(np.arange(0, d * k + 1, k), d * k + primary.size),
+    )
+    enc = tmp_path / "big.mblk"
+    enc.write_bytes(pack_frame(m, encode_grammar(SymbolCode(m), g)))
+    dec = tmp_path / "big.out"
+    args = ["decode", enc, dec]
+    if alphabet is None:
+        message = ("error: payload uses a custom alphabet; pass --alphabet-from-file "
+                   "with the file the encoder used")
+    else:
+        other = tmp_path / "other.txt"
+        other.write_bytes(alphabet)
+        args += ["--alphabet-from-file", other]
+        message = "error: alphabet size 2 does not match the payload's 3"
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert run(args) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not dec.exists()
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert peak < 2e6  # 137 MB when the payload was expanded first
 
 
 def test_encode_with_alphabet_file_compresses_better(tmp_path):

@@ -18,6 +18,14 @@ from minblock import (
     encode_symbol,
     symbol_length,
 )
+from minblock.codes import (
+    _CLASS_WIDTHS,
+    _DELTA_HEADS,
+    _DELTA_WINDOW,
+    _LOW_BITS,
+    _rank_length_sum,
+    rank_length,
+)
 
 
 @pytest.mark.parametrize(
@@ -149,6 +157,43 @@ def test_domain_errors():
         encode_symbol(code, -2)
     with pytest.raises(ValueError):
         SymbolCode(1)
+    with pytest.raises(TypeError):  # once silently m = 2
+        SymbolCode(2.5)
+    assert SymbolCode(np.int64(3)) == SymbolCode(3)
+    assert type(SymbolCode(np.uint8(3)).m) is int
+
+
+def test_rank_length_sum_is_the_running_sum():
+    running = np.cumsum([0] + [rank_length(j) for j in range(1, 2**16 + 1)])
+    assert [_rank_length_sum(s) for s in range(2**16 + 1)] == running.tolist()
+    # beyond, across each class boundary: class t is 2**t offsets of one length
+    below = 0  # the sum up to 2**t - 1
+    for t in range(63):
+        width = rank_length(2**t)
+        assert _rank_length_sum(2**t - 1) == below
+        assert _rank_length_sum(2**t) == below + width
+        if t:
+            assert _rank_length_sum(2**t + 1) == below + 2 * width
+        below += 2**t * width
+    assert _rank_length_sum(2**63 - 1) == below
+
+
+def test_class_tables_agree_with_encode_symbol():
+    code = SymbolCode(3)
+    rng = np.random.Generator(np.random.Philox(16))
+    for nbits in range(1, 64):
+        low = nbits - 1
+        j = 1 << low | int(rng.integers(0, 1 << low)) if low else 1
+        word = encode_symbol(code, code.m + j).to01()
+        width = len(word)
+        assert _CLASS_WIDTHS[low] == width
+        assert _DELTA_WINDOW[int(word[:16].ljust(16, "0"), 2)] == width
+        assert _LOW_BITS[width] == low
+        # past 64 bits a codeword has no head
+        assert int(_DELTA_HEADS[width]) == (int(word, 2) - j if width <= 64 else 0)
+    # no delta codeword opens with 0, 11, or 10 and six zeros (nbits > 63)
+    assert not _DELTA_WINDOW[: 1 << 15].any() and not _DELTA_WINDOW[3 << 14 :].any()
+    assert not _DELTA_WINDOW[1 << 15 : (1 << 15) + (1 << 8)].any()
 
 
 def test_truncation_and_corruption():

@@ -139,6 +139,11 @@ def test_invariant_validation():
         DictionaryGrammar(2, ((1, 2), (5,)))  # forward reference
     with pytest.raises(ValueError):
         DictionaryGrammar(2, ((0,),))  # symbols start at 1
+    with pytest.raises(TypeError):  # once silently m = 2
+        DictionaryGrammar(2.5, ((1, 2),))
+    with pytest.raises(TypeError):
+        DictionaryGrammar.from_arrays(2.5, [1, 2], [0, 2])
+    assert DictionaryGrammar(np.int64(2), ((1, 2),)).m == 2
 
 
 def test_array_and_tuple_grammars_are_equal():
@@ -612,6 +617,19 @@ def test_parse_where_no_chain_finds_a_codeword(fl, ones):
     s = "0" * (128 * fl) + "1" * ones
     for chunk_codewords in (grammar._CHUNK_CODEWORDS, 3):
         assert _parse_payload(_from01(s), fl, chunk_codewords) == starts_by_codeword(s, fl)
+
+
+def test_decodes_at_one_fixed_width_reuse_one_step_table():
+    # m = 3 and m = 4 both have 4-bit fixed codewords
+    grammar._step_tables.cache_clear()
+    for m in (3, 4, 3, 4):
+        code = SymbolCode(m)
+        g = DictionaryGrammar(m, ((1, 2), (3, m + 1, 1)))
+        assert decode_grammar(code, encode_grammar(code, g)) == g
+    assert grammar._step_tables.cache_info()[:2] == (3, 1)  # hits, misses
+    table, steps, slide = grammar._step_tables(4)
+    assert not table.flags.writeable and not slide.flags.writeable
+    assert steps == table.tobytes()
 
 
 @pytest.mark.parametrize("m", [2, 3, 256])

@@ -7,7 +7,7 @@ import pytest
 
 from minblock import gen_bernoulli, gen_markov, ingest_corpus, permute_characters
 from minblock.analysis import block_entropy
-from minblock.sources import SourceSpec, alphabet_size, realize
+from minblock.sources import SourceSpec, alphabet_size, map_bytes_to_symbols, realize
 
 
 def test_bernoulli_degenerate():
@@ -92,6 +92,15 @@ def test_ingest_idempotent(tmp_path):
     first = ingest_corpus(path)
     second = ingest_corpus(path)
     assert np.array_equal(first[0], second[0]) and first[1] == second[1]
+
+
+def test_byte_map_dtype_and_the_first_missing_byte():
+    symbols = map_bytes_to_symbols(b"cab", [ord("c"), ord("a"), ord("b")])
+    assert symbols.dtype == np.uint8 and symbols.tolist() == [1, 2, 3]
+    symbols = map_bytes_to_symbols(bytes(range(255, -1, -1)), list(range(256)))
+    assert symbols.dtype == np.uint16 and symbols.tolist() == list(range(256, 0, -1))
+    with pytest.raises(ValueError, match="byte 0x64 is not in the alphabet"):
+        map_bytes_to_symbols(b"abdce", [ord("a"), ord("b"), ord("c")])
 
 
 def test_ingest_empty_file(tmp_path):
