@@ -7,6 +7,8 @@ frame header on disk, or alongside the buffer in memory).
 
 from __future__ import annotations
 
+import operator
+
 MAGIC = b"MBLK"
 VERSION = 1
 HEADER_LEN = 4 + 1 + 2 + 8
@@ -136,15 +138,21 @@ class BitReader:
         return self.read_bits(1)
 
 
-def _check_frame_alphabet(m: int) -> None:
-    """Raise ValueError unless the frame header can hold the alphabet size ``m``."""
+def _check_frame_alphabet(m: int) -> int:
+    """The alphabet size ``m`` as an int, if the frame header can hold it.
+
+    Any integer type is taken (``operator.index``); anything else raises
+    TypeError, and a size outside 2..65535 ValueError.
+    """
+    m = operator.index(m)
     if not 2 <= m <= 0xFFFF:
         raise ValueError("alphabet size must be between 2 and 65535")
+    return m
 
 
 def pack_frame(m: int, bits: BitString) -> bytes:
     """Serialize a payload: magic, version, alphabet size, bit count, bits."""
-    _check_frame_alphabet(m)
+    m = _check_frame_alphabet(m)
     return (
         MAGIC
         + bytes([VERSION])
@@ -166,7 +174,7 @@ def unpack_frame(data: bytes) -> tuple[int, BitString]:
     if m < 2:
         raise CorruptionError(f"invalid alphabet size {m}")
     bitlen = int.from_bytes(data[7:15], "big")
-    payload = data[HEADER_LEN:]
+    payload = memoryview(data)[HEADER_LEN:]  # a view: the payload is copied once, below
     need = (bitlen + 7) // 8
     if len(payload) < need:
         raise TruncationError("frame payload truncated")

@@ -288,8 +288,7 @@ def _cmd_encode(args) -> int:
     data = _read_bytes(args.input)
     alphabet = _alphabet(args)
     symbols = map_bytes_to_symbols(data, alphabet)
-    _write_atomic({args.output: compress(symbols, max(2, len(alphabet)),
-                                         kmax=args.kmax_override)})
+    _write_atomic({args.output: compress(symbols, max(2, len(alphabet)))})
     return 0
 
 
@@ -390,8 +389,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--alphabet-from-file", metavar="PATH",
                    help="map bytes through the first-appearance alphabet of PATH "
                         "(pass the same flag to decode)")
-    p.add_argument("--kmax-override", type=int, default=None,
-                   help="cap the block-length sweep (output may be suboptimal)")
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("decode", help="decompress an MBLK frame")

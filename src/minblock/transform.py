@@ -37,6 +37,14 @@ read off the highest bit in which two words differ.
   wherever the LCP drops below k gives every k-gram an ID, equal for equal
   k-grams and ascending in their order, so sorting the places of a phase's
   blocks in suffix order sorts their IDs.
+* A block of phase l repeats an earlier block only if both start at places
+  congruent mod k and share their k-gram, so a k-gram class of c members
+  holds at most c - 1 repeats over all phases of k, and a class of two
+  holds one only when its members lie a multiple of k apart.  Once some
+  repeat is long enough for it to pay, these aligned-repeat caps, per block
+  length and per phase, bound the singleton floors from above: an input
+  with a long repeat then counts the phases of the few k that divide the
+  repeat's distance, not every phase up to its length.
 * A block length is skipped outright when even one secondary rule would
   already cost more than the best grammar found so far.
 
@@ -53,11 +61,14 @@ range's own index when the range runs to the end of x.  A range that ends
 earlier may have a common prefix that runs past its end, so its reach is
 capped at the length of each suffix, an upper bound that only weakens the
 singleton floors: block lengths above its true longest repeat have only
-distinct blocks, which never beat the terminal grammar.
+distinct blocks, which never beat the terminal grammar.  The aligned-repeat
+caps of such a range come from the same upper-bound LCP, and only grow with
+it (:func:`_pair_caps`).
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -393,15 +404,18 @@ def _repeat_reach(rank: np.ndarray, lcp: np.ndarray) -> np.ndarray:
     return larger[rank]
 
 
-def _range_reach(rank: np.ndarray, lcp: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """:func:`_repeat_reach` within x[lo:hi], from the index of x, counted from lo.
+def _range_index(rank: np.ndarray, lcp: np.ndarray, lo: int,
+                 hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks and neighbour LCP of the suffixes of x[lo:hi] among themselves.
 
-    The range's suffixes keep their order among those of x, and the LCP of
-    two neighbours among them is the least LCP of x between their places:
-    that is the range's own index when ``hi`` is the end of x, and the reach
-    is exact.  Before the end, a common prefix may run past ``hi``; the reach
-    is then capped at the length of each suffix, which leaves an upper bound.
+    Built from the index of x, counted from lo.  The range's suffixes keep
+    their order among those of x, and the LCP of two neighbours among them
+    is the least LCP of x between their places: that is the range's own
+    index when ``hi`` is the end of x.  Before the end, a common prefix may
+    run past ``hi``, so the LCP is an upper bound.
     """
+    if hi - lo == rank.size:
+        return rank, lcp
     places = rank[lo:hi]
     in_range = np.zeros(lcp.size, bool)
     in_range[places] = True
@@ -410,7 +424,17 @@ def _range_reach(rank: np.ndarray, lcp: np.ndarray, lo: int, hi: int) -> np.ndar
     sub_lcp = np.zeros(kept.size, lcp.dtype)
     if kept.size > 1:
         sub_lcp[1:] = np.minimum.reduceat(lcp[: kept[-1] + 1], kept[:-1] + 1)
-    reach = _repeat_reach(sub_rank, sub_lcp)
+    return sub_rank, sub_lcp
+
+
+def _range_reach(rank: np.ndarray, lcp: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """:func:`_repeat_reach` within x[lo:hi], from the index of x, counted from lo.
+
+    Exact when ``hi`` is the end of x (:func:`_range_index`).  Before the
+    end, the reach is capped at the length of each suffix, which leaves an
+    upper bound.
+    """
+    reach = _repeat_reach(*_range_index(rank, lcp, lo, hi))
     if hi < lcp.size:
         np.minimum(reach, np.arange(hi - lo, 0, -1, dtype=reach.dtype), out=reach)
     return reach
@@ -444,6 +468,95 @@ def _phase_duplicates(order: np.ndarray, edge: int, k: int) -> np.ndarray:
     if n - edge <= edge:
         return np.bincount(order[edge:] % k, minlength=k)
     return (n - np.arange(k) + k - 1) // k - np.bincount(order[:edge] % k, minlength=k)
+
+
+# the pairs of block lengths above this are told apart; below it a random
+# input has pairs at nearly every place (its longest repeat is near
+# 2 log2 n), so the tables would cost more than they prune
+_PAIRS_ABOVE = 32
+
+
+class _PairCaps(NamedTuple):
+    """Caps on how many blocks of length k repeat an earlier block.
+
+    ``level(k)`` caps them summed over the phases of k, and ``phases(k)``
+    in each phase (:func:`_pair_caps`).
+    """
+
+    rest: np.ndarray  # per k: P(k) - I(k), the repeats of classes of 3 or more
+    aligned: np.ndarray  # per k: A(k)
+    pos: np.ndarray  # per pair of neighbours: one member's position,
+    dist: np.ndarray  # the distance between the two,
+    lo: np.ndarray  # and the k in (lo, hi] at which they are a class of two
+    hi: np.ndarray
+
+    def level(self, k: int) -> int:
+        return int(self.rest[k] + self.aligned[k])
+
+    def phases(self, k: int):
+        if not self.aligned[k]:
+            return self.rest[k]
+        hit = (self.dist % k == 0) & (self.lo < k) & (k <= self.hi)
+        return self.rest[k] + np.bincount(self.pos[hit] % k, minlength=k)
+
+
+def _pair_caps(rank: np.ndarray, lcp: np.ndarray, kcap: int) -> _PairCaps:
+    """The aligned-repeat caps of block lengths k in (_PAIRS_ABOVE, kcap].
+
+    ``rank`` and ``lcp`` index the searched range (:func:`_range_index`).
+    A block of phase l repeats an earlier block only if both start at
+    places congruent mod k and in one k-gram class.  So a class of c members
+    holds at most c - 1 repeats over all phases, and a class of two holds
+    one only when its members lie a multiple of k apart, in the phase of
+    their positions.  Summed over the classes, the repeats of k are at most
+    R(k) = P(k) - I(k) + A(k): P(k) places have ``lcp >= k`` (the sum of
+    c - 1), I(k) classes have two members, and A(k) of them are aligned.
+    Each phase's repeats are at most P(k) - I(k) plus its aligned pairs.
+
+    Neighbours r - 1 and r are a class of two for the k in (max(lcp[r - 1],
+    lcp[r + 1]), lcp[r]], one interval per place, so I is one difference
+    array.  A is counted per distance d from its divisors k: the pairs at
+    d whose interval holds k, by two searchsorted calls on the intervals'
+    ends sorted by (d, end).  At or below _PAIRS_ABOVE the caps are n,
+    which bind nothing.
+
+    Before the end of x the LCP of a range is an upper bound.  A class then
+    holds the blocks of one k-gram, as before, and perhaps places whose
+    suffix in the range is shorter than k, which parse no block.  A class of
+    c' >= c members caps c' - 1 >= c - 1 repeats, and a class of two is
+    either the true pair or holds at most one block; so the caps can only
+    overcount.
+    """
+    n = rank.size
+    places = np.flatnonzero(lcp > _PAIRS_ABOVE)
+    hi = np.minimum(lcp[places], kcap)
+    rest = np.bincount(hi, minlength=kcap + 1)[::-1].cumsum()[::-1]  # P(k)
+    beside = np.append(lcp, 0)
+    lo = np.maximum(np.maximum(beside[places - 1], beside[places + 1]), _PAIRS_ABOVE)
+    pair = hi > lo
+    places, lo, hi = places[pair], lo[pair], hi[pair]
+    rest -= np.cumsum(np.bincount(lo + 1, minlength=kcap + 2)
+                      - np.bincount(hi + 1, minlength=kcap + 2))[: kcap + 1]  # I(k)
+    rest[: _PAIRS_ABOVE + 1] = n
+    sa = np.empty(n, rank.dtype)
+    sa[rank] = np.arange(n, dtype=rank.dtype)
+    pos = sa[places - 1].astype(np.int64)
+    dist = np.abs(sa[places] - pos)
+    # each distance with its divisors k <= kcap: j and d // j for j*j <= d
+    ds = np.unique(dist)
+    ds_of, ks = [ds[:0]], [ds[:0]]
+    for j in range(1, min(math.isqrt(int(ds.max(initial=0))), kcap) + 1):
+        d = ds[(ds % j == 0) & (ds >= j * j)]
+        big = d[d != j * j]
+        ds_of += [d, big]
+        ks += [np.full(d.size, j), big // j]
+    ds_of, ks = np.concatenate(ds_of), np.concatenate(ks)
+    keep = (ks > _PAIRS_ABOVE) & (ks <= kcap)
+    query = ds_of[keep] * (kcap + 2) + ks[keep]
+    starts, ends = (np.sort(dist * (kcap + 2) + end) for end in (lo, hi))
+    active = np.searchsorted(starts, query) - np.searchsorted(ends, query)
+    aligned = np.bincount(ks[keep], weights=active, minlength=kcap + 1).astype(np.int64)
+    return _PairCaps(rest, aligned, pos, dist, lo, hi)
 
 
 def _kgram_classes(lcp: np.ndarray, k: int) -> np.ndarray:
@@ -480,8 +593,7 @@ def _floor(fl: int, k: int, p: int, repeats: int, runs: int) -> int:
     return _price(fl, k, max(1, s), runs, _rank_length_sum(s) + 3 * (p - s))
 
 
-def _sweep(code: SymbolCode, index: _SuffixIndex, lo: int, hi: int, reach: np.ndarray,
-           kmax: int | None):
+def _sweep(code: SymbolCode, index: _SuffixIndex, lo: int, hi: int, reach: np.ndarray):
     """Cost of the cheapest block grammar of x[lo:hi], and its parse.
 
     ``index`` is the suffix index of x, and ``reach`` the reach of each
@@ -496,11 +608,11 @@ def _sweep(code: SymbolCode, index: _SuffixIndex, lo: int, hi: int, reach: np.nd
     best_parse = None
     rank, lcp, words, w, b = index
     kcap = int(reach.max(initial=0))  # the longest repeat: no longer block repeats
-    if kmax is not None:
-        kcap = min(kcap, kmax)
     if kcap < 1:
         return best, None
     order, below = _reach_order(reach, kcap)
+    pairs = (_pair_caps(*_range_index(rank, lcp, lo, hi), kcap)
+             if kcap > _PAIRS_ABOVE else None)
     rank_len = _rank_length_table(n)
 
     for k in range(1, kcap + 1):
@@ -508,15 +620,19 @@ def _sweep(code: SymbolCode, index: _SuffixIndex, lo: int, hi: int, reach: np.nd
             break
         p_hi = n // k
         edge = int(below[k - 1])
-        dups = n - edge  # positions whose k-gram occurs twice or more
+        repeats = n - edge  # positions whose k-gram occurs twice or more
+        if pairs is not None:
+            repeats = min(repeats, pairs.level(k))
 
         # cheapest conceivable cost of any phase, whose block count is one
-        # of these, given the duplicate count of the whole block length
-        if all(_floor(fl, k, p, dups, n - p * k) >= best
+        # of these, given the repeats of the whole block length
+        if all(_floor(fl, k, p, repeats, n - p * k) >= best
                for p in {p_hi, max(p_hi - 1, 1)}):
             continue
 
         per_shift = _phase_duplicates(order, edge, k)
+        if pairs is not None:
+            per_shift = np.minimum(per_shift, pairs.phases(k))
 
         # a block of k <= w symbols is the top of its word; past 32 bits the
         # keys stay 64-bit
@@ -588,28 +704,24 @@ def _build_block_grammar(arr: np.ndarray, m: int, k: int, l: int, ids: np.ndarra
     return BlockGrammar(base=g, k=k, head_len=l, tail_len=n - l - p * k)
 
 
-def minimal_block_transform(code: SymbolCode, u, *, kmax: int | None = None) -> TransformResult:
+def minimal_block_transform(code: SymbolCode, u) -> TransformResult:
     """Cheapest block grammar producing ``u`` and its exact emission size.
 
     Ties between block lengths go to the smaller k, then the smaller phase;
-    a tie with the terminal grammar keeps the terminal grammar.  ``kmax``
-    caps the sweep (the result is then only an upper bound on the optimum).
+    a tie with the terminal grammar keeps the terminal grammar.
     """
     arr = _as_symbols(u, code.m)
-    if kmax is not None and kmax < 1:
-        raise ValueError("kmax must be positive")
-    return _transform(code, arr.copy(), _suffix_index(arr), kmax)
+    return _transform(code, arr.copy(), _suffix_index(arr))
 
 
-def _transform(code: SymbolCode, arr: np.ndarray, index: _SuffixIndex,
-               kmax: int | None = None) -> TransformResult:
+def _transform(code: SymbolCode, arr: np.ndarray, index: _SuffixIndex) -> TransformResult:
     """:func:`minimal_block_transform` of ``arr``, from its suffix index.
 
     The result keeps ``arr``.
     """
     n = arr.size
     rank, lcp = index.rank, index.lcp
-    best, parse = _sweep(code, index, 0, n, _repeat_reach(rank, lcp), kmax)
+    best, parse = _sweep(code, index, 0, n, _repeat_reach(rank, lcp))
     k, l, distinct = parse or (0, 0, 0)
     ids = None if parse is None else _kgram_classes(lcp, k)[rank[l : l + (n - l) // k * k : k]]
     return TransformResult(code_bits=best, num_rules=distinct + 1, block_len=k, shift=l,
@@ -623,16 +735,16 @@ def _split_transforms(code: SymbolCode, x: np.ndarray, cut: int) -> tuple[int, i
     ``x``.
     """
     index = _suffix_index(x)
-    bu, bv = (_sweep(code, index, lo, hi, _range_reach(index.rank, index.lcp, lo, hi), None)[0]
+    bu, bv = (_sweep(code, index, lo, hi, _range_reach(index.rank, index.lcp, lo, hi))[0]
               for lo, hi in ((0, cut), (cut, x.size)))
     return bu, bv, _transform(code, x, index)
 
 
-def encode(code: SymbolCode, u, *, kmax: int | None = None) -> BitString:
+def encode(code: SymbolCode, u) -> BitString:
     """Binary code of ``u``: the emission of its cheapest block grammar."""
     # the result, with the copy of u it builds the grammar from, is freed
     # before the emission runs
-    grammar = minimal_block_transform(code, u, kmax=kmax).dictionary
+    grammar = minimal_block_transform(code, u).dictionary
     return encode_grammar(code, grammar)
 
 
@@ -648,7 +760,7 @@ def decode(code: SymbolCode, bits: BitString, *, max_len: int | None = None) -> 
     return expand(g, max_len=max_len)
 
 
-def compress(u, m: int, *, kmax: int | None = None) -> bytes:
+def compress(u, m: int) -> bytes:
     """Frame-wrapped :func:`encode` for an alphabet of ``m`` symbols."""
     # imported at call time: the traced benchmark run patches bits.pack_frame
     # (TRACED in perfbench/workloads.py), which a top-level import would skip
@@ -656,7 +768,7 @@ def compress(u, m: int, *, kmax: int | None = None) -> bytes:
 
     code = SymbolCode(m)
     _check_frame_alphabet(code.m)  # before the search, which would be wasted
-    return pack_frame(code.m, encode(code, u, kmax=kmax))
+    return pack_frame(code.m, encode(code, u))
 
 
 def decompress(data: bytes, *, max_len: int | None = None) -> tuple[np.ndarray, int]:

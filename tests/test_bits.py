@@ -1,5 +1,8 @@
 """Bit packing, reader arithmetic, and the MBLK frame format."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from minblock import (
@@ -82,3 +85,27 @@ def test_frame_errors():
         unpack_frame(corrupted)
     with pytest.raises(ValueError):
         pack_frame(1, payload)
+
+
+def test_frame_takes_an_alphabet_size_of_any_integer_type():
+    payload = BitString.from01("1011")
+    assert pack_frame(np.int64(3), payload) == pack_frame(3, payload)
+    with pytest.raises(TypeError):  # once an AttributeError after the check
+        pack_frame(3.0, payload)
+
+
+def test_unpack_frame_copies_the_payload_once():
+    # a payload of about 600 kB, as large as the frame of a 2**20 corpus
+    # prefix; the frame's bytes exist before tracing starts (3.0x before the
+    # payload was read through a view)
+    rng = np.random.Generator(np.random.Philox(12))
+    payload = BitString.from_bytes(rng.bytes(600_000), 8 * 600_000 - 3)
+    frame = pack_frame(256, payload)
+    tracemalloc.start()
+    try:
+        m, bits = unpack_frame(frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (m, bits) == (256, payload)
+    assert peak < 1.5 * len(frame)

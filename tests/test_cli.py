@@ -511,6 +511,22 @@ def test_mi_transforms_the_concatenation_once(tmp_path, capsys, monkeypatch):
     ]
 
 
+def test_mi_of_a_file_with_itself(tmp_path, capsys, corpus_path):
+    # the concatenation is a doubled string, the long-repeat case that the
+    # aligned-repeat caps bound
+    piece = tmp_path / "piece.txt"
+    data = corpus_path.read_bytes()[:50_000]
+    piece.write_bytes(data)
+    start = time.perf_counter()
+    assert run(["mi", piece, piece]) == 0
+    assert time.perf_counter() - start < 10.0
+    fields = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+    alphabet = cli.first_appearance_alphabet(data)
+    joint = minimal_block_transform(SymbolCode(len(alphabet)),
+                                    cli.map_bytes_to_symbols(data + data, alphabet))
+    assert (int(fields["rules"]), int(fields["block_len"])) == (joint.num_rules, joint.block_len)
+
+
 def test_gen_permute_entropy(tmp_path, capsys):
     out = tmp_path / "g.bin"
     assert run(["gen", "bernoulli:0.5", out, "--n", 4096, "--seed", 3]) == 0
@@ -539,14 +555,15 @@ def test_permute_empty_file(tmp_path):
     assert out.read_bytes() == b""
 
 
-def test_encode_kmax_override(tmp_path):
+def test_encode_has_no_kmax_override(tmp_path, capsys):
+    # the search has no cap: a capped frame would not hold the minimal code
     src = tmp_path / "s.bin"
     src.write_bytes(os.urandom(512))
     out = tmp_path / "o.mblk"
-    assert run(["encode", src, out, "--kmax-override", "2"]) == 0
-    back = tmp_path / "b.bin"
-    assert run(["decode", out, back]) == 0
-    assert back.read_bytes() == src.read_bytes()
+    assert run(["encode", src, out, "--kmax-override", "2"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unrecognized arguments: --kmax-override")
+    assert not out.exists()
 
 
 def test_sweep_has_no_kmax_override(tmp_path, capsys):

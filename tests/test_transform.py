@@ -1,6 +1,7 @@
 """Transform: parse costs, global optimality, round trips, determinism."""
 
 import hashlib
+import time
 import tracemalloc
 from collections import Counter
 
@@ -32,7 +33,9 @@ from minblock.transform import (
     _build_block_grammar,
     _floor,
     _kgram_classes,
+    _pair_caps,
     _phase_duplicates,
+    _range_index,
     _range_reach,
     _rank_length_table,
     _reach_order,
@@ -296,19 +299,24 @@ def test_rank_length_table_is_exact_in_one_byte():
 
 
 @pytest.mark.parametrize("top", PACKING_TOPS)
-def test_block_keys_count_as_the_class_ids(top):
+def test_block_keys_count_as_the_class_ids(top, monkeypatch):
     # a block of k <= w symbols is keyed by the top of its packed word, as
     # uint32 while k * b <= 32; the same sweep with w = 0 counts every block
     # by its class ID.  Both must agree at k = w - 1, w, w + 1 and on both
     # sides of k * b = 32, on the packing inputs, on strings tiled with a
     # period of k or doubled, whose best parse lies at such k, and on blocks
-    # that differ only in their first symbol, the top bits of the key
+    # that differ only in their first symbol, the top bits of the key.  The
+    # reach is clipped at k, so k is the longest block searched.  Both sweeps
+    # count the same phases, so each k the class-ID sweep builds classes for
+    # counted a phase that no cap pruned; a run of k * k equal symbols, whose
+    # best block length is k, gives even b = 1 such a phase
     b = top.bit_length()
     w, letters = _word_and_letters(top)
     ks = sorted({w - 1, w, w + 1, 32 // b, 32 // b + 1} - {0})
     rng = np.random.Generator(np.random.Philox(top + 1))
     inputs = [u for u, _, _ in _packing_inputs(top)]
     for k in ks:
+        inputs.append([top] * k * k)
         inputs.append(np.resize(rng.choice(letters, k), 9 * k + 3).tolist())
         half = rng.choice(letters, 2 * k + 1).tolist()
         inputs.append(half + half)
@@ -316,15 +324,24 @@ def test_block_keys_count_as_the_class_ids(top):
         inputs.append([s for i in range(8) for s in [letters[i % len(letters)]] + tail])
     m = max(top, 2)
     code = SymbolCode(m)
+    counted = set()
+
+    def classes(lcp, k):
+        counted.add(k)
+        return _kgram_classes(lcp, k)
+
+    monkeypatch.setattr(transform, "_kgram_classes", classes)
     for u in inputs:
         index = _suffix_index(_as_symbols(u, m))
         n = len(u)
         for lo, hi in ((0, n), (0, n // 2), (n // 3, n)):
             reach = _range_reach(index.rank, index.lcp, lo, hi)
             for k in ks:
-                keyed = _sweep(code, index, lo, hi, reach, k)
-                by_class = _sweep(code, index._replace(w=0), lo, hi, reach, k)
+                clipped = np.minimum(reach, k)
+                keyed = _sweep(code, index, lo, hi, clipped)
+                by_class = _sweep(code, index._replace(w=0), lo, hi, clipped)
                 assert keyed == by_class, (u, lo, hi, k)
+    assert counted >= set(ks)
 
 
 def _pinned_batch():
@@ -334,8 +351,8 @@ def _pinned_batch():
     for i in range(300):
         m = alphabets[i % 6]
         kind = ("random", "tiled", "doubled")[i // 6 % 3]
-        # log-uniform lengths; doubled strings stay shorter, as their search
-        # counts O(n**2) phases
+        # log-uniform lengths, doubled strings drawn shorter; the draws fix
+        # the pinned rows, so they stay as they are
         n = int(np.exp(rng.uniform(0, np.log(1000 if kind == "doubled" else 3000))))
         letters = np.unique(np.append(rng.integers(1, m + 1, min(m, 8) - 1), m))
 
@@ -400,9 +417,46 @@ def test_ranges_search_as_their_own_transforms():
                     assert np.all(reach >= exact), (m, n, lo, hi)
                 # no repeat runs past the end of its suffix
                 assert np.all(reach <= np.arange(hi - lo, 0, -1)), (m, n, lo, hi)
-                best, parse = _sweep(code, index, lo, hi, reach, None)
+                best, parse = _sweep(code, index, lo, hi, reach)
                 k, l, distinct = parse or (0, 0, 0)
                 assert (best, k, l, distinct + 1) == _stats(part), (m, n, lo, hi)
+
+
+def _long_repeat_input(kind, n):
+    """A doubled or near-doubled random binary string, or the CLI's all-bytes input."""
+    rng = np.random.Generator(np.random.Philox(8 if kind == "all-bytes" else 5))
+    if kind == "all-bytes":
+        data = bytes(range(256)) + rng.integers(0, 256, n, dtype=np.uint8).tobytes() * 2
+        return np.frombuffer(data, np.uint8).astype(np.uint16) + 1, 256
+    half = rng.integers(1, 3, n // 2)
+    copy = half.copy()
+    if kind == "near-doubled":  # the copy with 5 symbols flipped
+        flips = rng.choice(half.size, 5, replace=False)
+        copy[flips] = 3 - copy[flips]
+    return np.concatenate([half, copy]), 2
+
+
+@pytest.mark.parametrize(
+    "kind, n, want",
+    [
+        # (code_bits, block_len, shift, num_rules), computed by the search
+        # before the aligned-repeat caps, which took the time in the comment
+        # (one run each, on a 2-vCPU VM)
+        ("doubled", 6000, (9015, 3000, 0, 2)),  # 10.5 s
+        ("near-doubled", 12000, (20752, 150, 0, 45)),  # 5.4 s
+        ("near-doubled", 24000, (39850, 150, 129, 84)),  # 44.5 s
+        ("all-bytes", 3000, (32596, 3000, 256, 2)),  # 10.3 s
+    ],
+)
+def test_long_repeats_take_near_linear_time(kind, n, want):
+    # a long repeat has classes of two members at nearly every k up to its
+    # length; the aligned-repeat caps leave only the k that divide its
+    # distance, so the search no longer counts every phase of every k
+    u, m = _long_repeat_input(kind, n)
+    start = time.perf_counter()
+    r = minimal_block_transform(SymbolCode(m), u)
+    assert time.perf_counter() - start < 2.0
+    assert _stats(r) == want
 
 
 def test_grammar_is_built_on_first_read():
@@ -489,6 +543,61 @@ def test_phase_duplicates_match_a_count_of_each_k():
     assert tight
 
 
+def _strings_of_each_kind(rng, m, n):
+    """A random, a doubled, a near-doubled and a tiled string of length n."""
+    letters = np.unique(np.append(rng.integers(1, m + 1, min(m, 8) - 1), m))
+
+    def draw(size):
+        return letters[rng.integers(0, letters.size, size)]
+
+    half = draw(n // 2)
+    near = half.copy()
+    flips = rng.integers(0, near.size, 2)
+    near[flips] = np.where(near[flips] == letters[0], letters[-1], letters[0])
+    yield draw(n)
+    yield np.concatenate([half, half, draw(n % 2)])
+    yield np.concatenate([half, near, draw(n % 2)])
+    yield np.resize(draw(int(rng.integers(1, 12))), n)
+
+
+@pytest.mark.parametrize("pairs_above", [0, transform._PAIRS_ABOVE])
+def test_pair_caps_bound_the_repeats_of_every_phase(monkeypatch, pairs_above):
+    # for every k <= kcap and phase l, the aligned-repeat caps are at least
+    # the blocks that repeat an earlier one, p - distinct, in the phase and
+    # summed over the phases; on whole strings and on ranges that end before
+    # the end, whose LCP is only an upper bound.  With the pairs told apart
+    # from k = 1 on, the short strings' searches also equal the reference
+    monkeypatch.setattr(transform, "_PAIRS_ABOVE", pairs_above)
+    rng = np.random.Generator(np.random.Philox(43))
+    tight = 0
+    for m in (2, 3, 27, 300):
+        code = SymbolCode(m)
+        for n in (30, 80) if pairs_above else (12, 30):
+            for u in _strings_of_each_kind(rng, m, n):
+                x = _as_symbols(u, m)
+                index = _suffix_index(x)
+                cut = int(rng.integers(n // 2, n))
+                for lo, hi in ((0, n), (0, cut), (n - cut, cut)):
+                    reach = _range_reach(index.rank, index.lcp, lo, hi)
+                    kcap = int(reach.max(initial=0))
+                    if kcap <= pairs_above:
+                        continue
+                    caps = _pair_caps(*_range_index(index.rank, index.lcp, lo, hi), kcap)
+                    listed = x[lo:hi].tolist()
+                    for k in range(pairs_above + 1, kcap + 1):
+                        repeats = [(hi - lo - l) // k
+                                   - RankedBlockTable.from_parse(listed, k, l).num_blocks
+                                   for l in range(min(k, hi - lo - k + 1))]
+                        phases = np.broadcast_to(caps.phases(k), k)[: len(repeats)]
+                        assert np.all(phases >= repeats), (m, n, lo, hi, k)
+                        assert caps.level(k) >= sum(repeats), (m, n, lo, hi, k)
+                        tight += caps.level(k) == sum(repeats) > 0
+                    if n <= 30:
+                        best, _ = _sweep(code, index, lo, hi, reach)
+                        assert best == reference_min_bits(code, listed), (m, n, lo, hi)
+    assert tight
+
+
 @pytest.mark.parametrize("kcap", [1, 254, 255, 65534, 65535, 70000])
 def test_reach_order_keeps_every_k_apart(kcap):
     # the clipped reach is stored in uint8, uint16 or the reach's own type
@@ -523,16 +632,13 @@ def test_round_trip_property(symbols):
     assert out.tolist() == symbols
 
 
-def test_kmax_override_is_upper_bound():
-    rng = np.random.Generator(np.random.Philox(26))
-    code = SymbolCode(2)
-    u = _random_string(rng, 2, 2000)
-    exact = minimal_block_transform(code, u)
-    capped = minimal_block_transform(code, u, kmax=1)
-    assert capped.code_bits >= exact.code_bits
-    assert capped.block_len <= 1
-    with pytest.raises(ValueError):
-        minimal_block_transform(code, u, kmax=0)
+def test_kmax_is_refused():
+    # the search has no cap: a capped result would only bound the optimum
+    u = [1, 2, 1, 2, 1, 2]
+    with pytest.raises(TypeError):
+        minimal_block_transform(SymbolCode(2), u, kmax=1)
+    with pytest.raises(TypeError):
+        compress(u, 2, kmax=1)
 
 
 def test_decode_rejects_a_non_block_grammar():
