@@ -105,7 +105,8 @@ def block_entropy(x, k: int, *, overlapping: bool = True) -> float:
     """
     counts = _block_counts(x, k, overlapping)[1]
     p = counts / counts.sum()
-    return float(-(p @ np.log2(p)))
+    # + 0.0 turns the -0.0 of one block of probability 1 into 0.0
+    return float(-(p @ np.log2(p))) + 0.0
 
 
 def empirical_block_distribution(x, k: int, *, overlapping: bool = True) -> dict[tuple[int, ...], float]:

@@ -261,19 +261,24 @@ def _series_for(records, labels, column) -> list[Series]:
     return out
 
 
-def _sweep_svgs(records, labels, prefix: str) -> dict[str, bytes]:
+# (column, title, file name) of each SVG of `minblock sweep --svg PREFIX`,
+# written to PREFIX-NAME.svg
+_SWEEP_PLOTS = (
+    ("rules", "Grammar rules vs prefix length", "rules"),
+    ("block_len", "Block length vs prefix length", "block-length"),
+)
+
+
+def _sweep_svgs(records, labels, paths) -> dict[str, bytes]:
     svgs = {}
-    for column, title, fname in (
-        ("rules", "Grammar rules vs prefix length", "rules"),
-        ("block_len", "Block length vs prefix length", "block-length"),
-    ):
+    for (column, title, _), path in zip(_SWEEP_PLOTS, paths):
         svg = render_loglog_svg(
             _series_for(records, labels, column),
             title=title,
             xlabel="prefix length n",
             ylabel=title.split(" vs ")[0],
         )
-        svgs[f"{prefix}-{fname}.svg"] = svg.encode()
+        svgs[path] = svg.encode()
     return svgs
 
 
@@ -322,12 +327,17 @@ def _cmd_decode(args) -> int:
 def _cmd_sweep(args) -> int:
     if len(set(args.source)) < len(args.source):
         raise UsageError("each source may be given only once")
+    svgs = [f"{args.svg}-{fname}.svg" for *_, fname in _SWEEP_PLOTS] if args.svg else []
+    paths = [args.csv, *svgs]
+    # the outputs are keyed by path, so one file named twice would hold only
+    # the last of them
+    if len({os.path.realpath(path) for path in paths}) < len(paths):
+        raise UsageError(f"the outputs must be different files: {', '.join(paths)}")
     specs = [parse_source(s, args.seed) for s in args.source]
     ns = parse_grid(args.n_grid)
     records = run_sweep(specs, ns, warn=lambda msg: print(f"warning: {msg}", file=sys.stderr))
     outputs = {args.csv: records_to_csv(records).encode()}
-    if args.svg:
-        outputs.update(_sweep_svgs(records, args.source, args.svg))
+    outputs.update(_sweep_svgs(records, args.source, svgs))
     _write_atomic(outputs)
     for path in list(outputs)[1:]:
         print(f"wrote {path}")

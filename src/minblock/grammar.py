@@ -160,10 +160,6 @@ class DictionaryGrammar:
     def num_rules(self) -> int:
         return self.offsets.size - 1
 
-    @property
-    def primary(self) -> Rule:
-        return tuple(self.symbols[self.offsets[-2] :].tolist())
-
 
 @dataclass(frozen=True)
 class BlockGrammar:

@@ -19,17 +19,18 @@ read off the highest bit in which two words differ.
 
 * A parse can only beat the terminal grammar if some block repeats, so k
   runs up to the longest repeated substring, the largest LCP.
-* The k-gram at position i occurs twice or more exactly when the suffix at i
-  shares k symbols with a neighbour in sorted order.  Positions whose k-gram
-  occurs once contribute pairwise-distinct singleton blocks, which yields a
-  per-phase lower bound on the parse cost; a phase is counted only when its
-  bound is below the best cost so far.
-* The positions are sorted once, with a radix sort, by their reach: the
-  longest prefix of their suffix that occurs twice, clipped above the
-  longest block length examined.  For each k the positions whose k-gram
-  repeats are then one end of that order.  Their exact count prices the
-  whole block length before any pass over the input, and their number per
-  phase is binned mod k from whichever end of the order is smaller.
+* Equal k-grams are neighbours in sorted order, so the k-gram at position
+  i also starts at the suffix sorted just before i exactly when their LCP,
+  ``lcp[rank[i]]``, is k or more.  The positions below k are each the first
+  of their k-gram class, so their blocks are pairwise distinct, which
+  yields a per-phase lower bound on the parse cost; a phase is counted only
+  when its bound is below the best cost so far.
+* The positions are sorted once, with a radix sort, by that LCP, clipped
+  above the longest block length examined.  For each k the positions whose
+  k-gram is not the first of its class are then one end of that order.
+  Their count prices the whole block length before any pass over the
+  input, and their number per phase is binned mod k from whichever end of
+  the order is smaller.
 * A block of k <= w symbols is its own sort key: the top k symbols of the
   packed word at its start, which the index keeps.  Equal keys are equal
   blocks, so the block counts of a phase come from sorting its keys.
@@ -42,7 +43,7 @@ read off the highest bit in which two words differ.
   holds at most c - 1 repeats over all phases of k, and a class of two
   holds one only when its members lie a multiple of k apart.  Once some
   repeat is long enough for it to pay, these aligned-repeat caps, per block
-  length and per phase, bound the singleton floors from above: an input
+  length and per phase, bound the first-of-class floors: an input
   with a long repeat then counts the phases of the few k that divide the
   repeat's distance, not every phase up to its length.
 * A block length is skipped outright when even one secondary rule would
@@ -56,14 +57,16 @@ from them when it is first read.
 The sweep can search any range x[lo:hi] of the indexed string x, so one
 index of u + v prices u, v and u + v for the pointwise mutual information.
 The suffixes of a range keep their order among those of x, and the LCP of
-two of them is the least LCP of x between their places.  That is the
-range's own index when the range runs to the end of x.  A range that ends
-earlier may have a common prefix that runs past its end, so its reach is
-capped at the length of each suffix, an upper bound that only weakens the
-singleton floors: block lengths above its true longest repeat have only
-distinct blocks, which never beat the terminal grammar.  The aligned-repeat
-caps of such a range come from the same upper-bound LCP, and only grow with
-it (:func:`_pair_caps`).
+two of them is the least LCP of x between their places (:func:`_range_index`,
+built once per search).  That is the range's own index when the range runs
+to the end of x.  A range that ends earlier may have a common prefix that
+runs past its end, so its LCP is an upper bound, capped at the length of
+each suffix.  Equal k-grams of the range are still neighbours among its
+suffixes, so a position below k is still the first of its class, and the
+floors stay lower bounds: block lengths above the range's true longest
+repeat have only distinct blocks, which never beat the terminal grammar.
+The aligned-repeat caps of such a range come from the same upper-bound LCP,
+and only grow with it (:func:`_pair_caps`).
 """
 
 from __future__ import annotations
@@ -392,18 +395,6 @@ def _suffix_index(arr: np.ndarray) -> _SuffixIndex:
     return _SuffixIndex(rank[:n], np.concatenate((np.zeros(1, dtype), common)), words, w, b)
 
 
-def _repeat_reach(rank: np.ndarray, lcp: np.ndarray) -> np.ndarray:
-    """Per start position, the longest prefix of its suffix that occurs twice.
-
-    It is the larger LCP of the suffix with its two neighbours in sorted
-    order, so the k-gram at i occurs at least twice exactly when
-    ``reach[i] >= k``.
-    """
-    larger = lcp.copy()
-    np.maximum(larger[:-1], lcp[1:], out=larger[:-1])
-    return larger[rank]
-
-
 def _range_index(rank: np.ndarray, lcp: np.ndarray, lo: int,
                  hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Ranks and neighbour LCP of the suffixes of x[lo:hi] among themselves.
@@ -427,42 +418,31 @@ def _range_index(rank: np.ndarray, lcp: np.ndarray, lo: int,
     return sub_rank, sub_lcp
 
 
-def _range_reach(rank: np.ndarray, lcp: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """:func:`_repeat_reach` within x[lo:hi], from the index of x, counted from lo.
+def _reach_order(before: np.ndarray, kcap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in ascending order of ``before``, and where each value starts.
 
-    Exact when ``hi`` is the end of x (:func:`_range_index`).  Before the
-    end, the reach is capped at the length of each suffix, which leaves an
-    upper bound.
+    ``before[i]`` is the LCP of the suffix at i with the one sorted just
+    before it, or an upper bound on it (:func:`_sweep`).  It is clipped to
+    ``kcap + 1``, which keeps every k <= kcap apart, and stored in the
+    narrowest unsigned type that holds that, so the stable sort is a radix
+    sort.  Returns ``(order, below)``: ``below[k - 1]`` positions have
+    ``before < k``, so ``order[below[k - 1]:]`` are the positions whose
+    k-gram is not the first of its class in sorted order.
     """
-    reach = _repeat_reach(*_range_index(rank, lcp, lo, hi))
-    if hi < lcp.size:
-        np.minimum(reach, np.arange(hi - lo, 0, -1, dtype=reach.dtype), out=reach)
-    return reach
-
-
-def _reach_order(reach: np.ndarray, kcap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions in ascending order of their reach, and where each reach starts.
-
-    The reach is clipped to ``kcap + 1``, which keeps every k <= kcap apart,
-    and stored in the narrowest unsigned type that holds that, so the stable
-    sort is a radix sort.  Returns ``(order, below)``: ``below[k - 1]``
-    positions have reach < k, so ``order[below[k - 1]:]`` are the positions
-    whose k-gram occurs twice or more.
-    """
-    dtype = np.uint8 if kcap < 255 else np.uint16 if kcap < 65535 else reach.dtype
-    clipped = np.minimum(reach, kcap + 1).astype(dtype)
-    order = np.argsort(clipped, kind="stable").astype(reach.dtype)
+    dtype = np.uint8 if kcap < 255 else np.uint16 if kcap < 65535 else before.dtype
+    clipped = np.minimum(before, kcap + 1).astype(dtype)
+    order = np.argsort(clipped, kind="stable").astype(before.dtype)
     below = np.cumsum(np.bincount(clipped, minlength=kcap + 2))
     return order, below
 
 
 def _phase_duplicates(order: np.ndarray, edge: int, k: int) -> np.ndarray:
-    """Per phase l < k, how many positions i = l (mod k) have reach >= k.
+    """Per phase l < k, how many positions i = l (mod k) have ``before >= k``.
 
-    ``order[edge:]`` are the positions with reach >= k (:func:`_reach_order`).
-    The smaller of the two sides is binned mod k; when that is the side of
-    reach < k, its counts are taken from the ceil((n - l) / k) positions of
-    each phase.
+    ``order[edge:]`` are those positions (:func:`_reach_order`): each block
+    of the phase that repeats an earlier one is among them.  The smaller of
+    the two sides is binned mod k; when that is the side below k, its counts
+    are taken from the ceil((n - l) / k) positions of each phase.
     """
     n = order.size
     if n - edge <= edge:
@@ -564,7 +544,9 @@ def _kgram_classes(lcp: np.ndarray, k: int) -> np.ndarray:
 
     Equal k-grams share an ID, and IDs ascend in the order of the k-grams;
     the k-gram at position i has the ID at place ``rank[i]``.  Suffixes
-    shorter than k get IDs of their own.
+    shorter than k get IDs of their own, but in a range that ends before
+    the end of x (:func:`_range_index`) they may share the ID of a k-gram;
+    no parse reads them.
     """
     return np.cumsum(lcp < k, dtype=lcp.dtype)
 
@@ -583,36 +565,42 @@ def _floor(fl: int, k: int, p: int, repeats: int, runs: int) -> int:
     at most ``repeats`` blocks repeat an earlier block.
 
     At least ``s = p - repeats`` blocks are then distinct, so there are at
-    least ``max(1, s)`` rules; they are singletons when ``repeats`` counts
-    the places whose k-gram occurs twice or more.  Each singleton, like each
-    distinct block, takes a rank of its own, so together they cost at least
-    the s cheapest ranks, ranks 1..s, and every other reference at least
-    the 3 bits of rank 1.
+    least ``max(1, s)`` rules.  When ``repeats`` counts the places whose
+    k-gram also starts at the suffix sorted just before theirs, each block
+    left out is the first of its k-gram class in sorted order, so no two of
+    them are equal.  Each distinct block takes a rank of its own, so s of
+    them cost at least the s cheapest ranks, ranks 1..s, and every other
+    reference at least the 3 bits of rank 1.
     """
     s = max(0, p - repeats)
     return _price(fl, k, max(1, s), runs, _rank_length_sum(s) + 3 * (p - s))
 
 
-def _sweep(code: SymbolCode, index: _SuffixIndex, lo: int, hi: int, reach: np.ndarray):
+def _sweep(code: SymbolCode, index: _SuffixIndex, lo: int, hi: int):
     """Cost of the cheapest block grammar of x[lo:hi], and its parse.
 
-    ``index`` is the suffix index of x, and ``reach`` the reach of each
-    position of the range counted from ``lo`` (:func:`_range_reach`), or an
-    upper bound on it.  The parse is ``(k, l, distinct)``: its block length,
-    phase and number of distinct blocks, or None for the terminal grammar,
-    which wins every tie.
+    ``index`` is the suffix index of x.  The range's ranks and LCP are built
+    from it once (:func:`_range_index`), and every bound and block key below
+    reads them, counted from ``lo``.  The parse is ``(k, l, distinct)``: its
+    block length, phase and number of distinct blocks, or None for the
+    terminal grammar, which wins every tie.
     """
     n = hi - lo
     fl = code.fixed_len
     best = _price(fl, 0, 0, n, 0)
     best_parse = None
-    rank, lcp, words, w, b = index
-    kcap = int(reach.max(initial=0))  # the longest repeat: no longer block repeats
+    rank, lcp = _range_index(index.rank, index.lcp, lo, hi)
+    words, w, b = index.words, index.w, index.b
+    # each position's LCP with the suffix sorted just before it, capped at
+    # its suffix's length where the range's LCP is only an upper bound
+    before = lcp[rank]
+    if hi < index.rank.size:
+        np.minimum(before, np.arange(n, 0, -1, dtype=before.dtype), out=before)
+    kcap = int(before.max(initial=0))  # the longest repeat: no longer block repeats
     if kcap < 1:
         return best, None
-    order, below = _reach_order(reach, kcap)
-    pairs = (_pair_caps(*_range_index(rank, lcp, lo, hi), kcap)
-             if kcap > _PAIRS_ABOVE else None)
+    order, below = _reach_order(before, kcap)
+    pairs = _pair_caps(rank, lcp, kcap) if kcap > _PAIRS_ABOVE else None
     rank_len = _rank_length_table(n)
 
     for k in range(1, kcap + 1):
@@ -620,7 +608,7 @@ def _sweep(code: SymbolCode, index: _SuffixIndex, lo: int, hi: int, reach: np.nd
             break
         p_hi = n // k
         edge = int(below[k - 1])
-        repeats = n - edge  # positions whose k-gram occurs twice or more
+        repeats = n - edge  # positions whose k-gram is not the first of its class
         if pairs is not None:
             repeats = min(repeats, pairs.level(k))
 
@@ -644,10 +632,9 @@ def _sweep(code: SymbolCode, index: _SuffixIndex, lo: int, hi: int, reach: np.nd
             runs = n - p * k
             if _floor(fl, k, p, int(per_shift[l]), runs) >= best:
                 continue
-            start = lo + l
             if k <= w:
                 # shifted straight into the key type: no 64-bit temporary
-                keys = np.right_shift(words[start : start + p * k : k], shift,
+                keys = np.right_shift(words[lo + l : lo + l + p * k : k], shift,
                                       out=np.empty(p, key_dtype), casting="unsafe")
                 keys.sort()
             else:
@@ -655,7 +642,7 @@ def _sweep(code: SymbolCode, index: _SuffixIndex, lo: int, hi: int, reach: np.nd
                     classes = _kgram_classes(lcp, k)
                 # IDs ascend with the place, so sorting places sorts the IDs
                 # and makes their gather sequential
-                places = rank[start : start + p * k : k].copy()
+                places = rank[l : l + p * k : k].copy()
                 places.sort()
                 keys = classes[places]
             head = _run_heads(keys)
@@ -721,7 +708,7 @@ def _transform(code: SymbolCode, arr: np.ndarray, index: _SuffixIndex) -> Transf
     """
     n = arr.size
     rank, lcp = index.rank, index.lcp
-    best, parse = _sweep(code, index, 0, n, _repeat_reach(rank, lcp))
+    best, parse = _sweep(code, index, 0, n)
     k, l, distinct = parse or (0, 0, 0)
     ids = None if parse is None else _kgram_classes(lcp, k)[rank[l : l + (n - l) // k * k : k]]
     return TransformResult(code_bits=best, num_rules=distinct + 1, block_len=k, shift=l,
@@ -735,8 +722,7 @@ def _split_transforms(code: SymbolCode, x: np.ndarray, cut: int) -> tuple[int, i
     ``x``.
     """
     index = _suffix_index(x)
-    bu, bv = (_sweep(code, index, lo, hi, _range_reach(index.rank, index.lcp, lo, hi))[0]
-              for lo, hi in ((0, cut), (cut, x.size)))
+    bu, bv = (_sweep(code, index, lo, hi)[0] for lo, hi in ((0, cut), (cut, x.size)))
     return bu, bv, _transform(code, x, index)
 
 

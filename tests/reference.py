@@ -29,7 +29,7 @@ def reference_min_bits(code: SymbolCode, u) -> int:
 def is_block_shaped_by_rule(g) -> bool:
     """``is_block_shaped`` on the rule tuples."""
     secondary = g.rules[:-1]
-    prim = g.primary
+    prim = g.rules[-1]
     if not secondary:
         return not prim or max(prim) <= g.m
     k = len(secondary[0])
@@ -59,7 +59,7 @@ def block_shape_error(g, k: int, head_len: int, tail_len: int) -> str | None:
     for i, rule in enumerate(g.rules[:-1], start=1):
         if len(rule) != k or max(rule) > g.m:
             return f"secondary rule {i} is not a terminal {k}-block"
-    prim = g.primary
+    prim = g.rules[-1]
     if len(prim) < head_len + tail_len:
         return "primary rule shorter than its terminal runs"
     head = prim[:head_len]

@@ -1,5 +1,6 @@
 """Information measurements: MI and its bound, growth slopes, entropies."""
 
+import math
 import re
 
 import numpy as np
@@ -136,8 +137,11 @@ def test_hilberg_rejects_non_finite_values(bad):
 
 
 def test_block_entropy_constant_string():
+    # one block of probability 1: +0.0, not the -0.0 that == 0.0 cannot tell
     for k in (1, 2, 5):
-        assert block_entropy([1] * 64, k) == 0.0
+        for overlapping in (True, False):
+            h = block_entropy([1] * 64, k, overlapping=overlapping)
+            assert h == 0.0 and math.copysign(1.0, h) == 1.0
 
 
 def test_block_entropy_all_blocks_equal():

@@ -547,6 +547,33 @@ def test_gen_permute_entropy(tmp_path, capsys):
     assert 0.99 < h <= 1.0
 
 
+@pytest.mark.parametrize("disjoint", [[], ["--disjoint"]])
+def test_entropy_of_a_constant_file_is_positive_zero(tmp_path, capsys, disjoint):
+    src = tmp_path / "a.txt"
+    src.write_bytes(b"aaaaaaaa")
+    assert run(["entropy", src, "--k", 2] + disjoint) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "block_entropy_bits=0.000000", "bits_per_symbol=0.000000"]
+
+
+@pytest.mark.parametrize("csv_name", ["fig-rules.svg", "./fig-rules.svg"])
+def test_sweep_refuses_two_outputs_in_one_file(tmp_path, capsys, monkeypatch, csv_name):
+    # the CSV named as one of the SVGs, in either spelling, would be lost to
+    # it: a usage error before any transform, and nothing written
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_sweep", refuse)
+    assert run(["sweep", "--source", "bernoulli:0.5", "--n-grid", "2^6..2^8",
+                "--csv", csv_name, "--svg", "fig"]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the outputs must be different files")
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
 def test_permute_empty_file(tmp_path):
     src = tmp_path / "empty"
     src.write_bytes(b"")

@@ -154,7 +154,7 @@ def test_array_and_tuple_grammars_are_equal():
         assert h == g and hash(h) == hash(g)
         assert h.rules == g.rules  # built from the arrays
         assert DictionaryGrammar(h.m, h.rules) == h
-        assert h.primary == g.rules[-1] and h.num_rules == len(g.rules)
+        assert h.num_rules == len(g.rules)
         for arr in (h.symbols, h.offsets, g.symbols, g.offsets):
             assert arr.dtype == np.int64
             with pytest.raises(ValueError):

@@ -3,7 +3,6 @@
 import hashlib
 import time
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -36,10 +35,8 @@ from minblock.transform import (
     _pair_caps,
     _phase_duplicates,
     _range_index,
-    _range_reach,
     _rank_length_table,
     _reach_order,
-    _repeat_reach,
     _shared_symbols,
     _suffix_index,
     _sweep,
@@ -195,12 +192,17 @@ def _assert_index_exact(u, m):
         return c
 
     assert lcp.tolist() == [0][:n] + [common(sa[i - 1], sa[i]) for i in range(1, n)]
-    reach = _repeat_reach(rank, lcp)
+    # the LCP of each position with the suffix sorted just before it: at
+    # least k exactly where that suffix starts with the same k-gram, so the
+    # positions below k are one per k-gram
+    before = lcp[rank]
     for k in range(1, max(lcp.tolist(), default=0) + 2):
         grams = [tuple(u[i : i + k]) for i in range(n - k + 1)]
-        counts = Counter(grams)
+        prior = [r > 0 and tuple(u[sa[r - 1] : sa[r - 1] + k]) == g
+                 for g, r in zip(grams, rank.tolist())]
         short = [False] * (n - len(grams))  # suffixes shorter than k
-        assert (reach >= k).tolist() == [counts[g] >= 2 for g in grams] + short
+        assert (before >= k).tolist() == prior + short
+        assert prior.count(False) == len(set(grams))
         classes = _kgram_classes(lcp, k)[rank][: len(grams)].tolist()
         ordered = sorted(zip(classes, grams))
         for (c0, g0), (c1, g1) in zip(ordered, ordered[1:]):
@@ -305,8 +307,8 @@ def test_block_keys_count_as_the_class_ids(top, monkeypatch):
     # by its class ID.  Both must agree at k = w - 1, w, w + 1 and on both
     # sides of k * b = 32, on the packing inputs, on strings tiled with a
     # period of k or doubled, whose best parse lies at such k, and on blocks
-    # that differ only in their first symbol, the top bits of the key.  The
-    # reach is clipped at k, so k is the longest block searched.  Both sweeps
+    # that differ only in their first symbol, the top bits of the key, each
+    # whole and as ranges that end before and at the end.  Both sweeps
     # count the same phases, so each k the class-ID sweep builds classes for
     # counted a phase that no cap pruned; a run of k * k equal symbols, whose
     # best block length is k, gives even b = 1 such a phase
@@ -335,12 +337,9 @@ def test_block_keys_count_as_the_class_ids(top, monkeypatch):
         index = _suffix_index(_as_symbols(u, m))
         n = len(u)
         for lo, hi in ((0, n), (0, n // 2), (n // 3, n)):
-            reach = _range_reach(index.rank, index.lcp, lo, hi)
-            for k in ks:
-                clipped = np.minimum(reach, k)
-                keyed = _sweep(code, index, lo, hi, clipped)
-                by_class = _sweep(code, index._replace(w=0), lo, hi, clipped)
-                assert keyed == by_class, (u, lo, hi, k)
+            keyed = _sweep(code, index, lo, hi)
+            by_class = _sweep(code, index._replace(w=0), lo, hi)
+            assert keyed == by_class, (u, lo, hi)
     assert counted >= set(ks)
 
 
@@ -387,13 +386,16 @@ def _stats(result):
     return result.code_bits, result.block_len, result.shift, result.num_rules
 
 
-def test_ranges_search_as_their_own_transforms():
+def test_ranges_search_as_their_own_transforms(monkeypatch):
     # every part of a split, searched as a range of the concatenation's index,
-    # against the transform of the part alone; the part that runs to the end
-    # has the reach of its own index, the other an upper bound on it.  The
-    # strings are the pinned batch's shorter ones, cut at both ends, next to
-    # them and at a random place
+    # against the transform of the part alone.  The strings are the pinned
+    # batch's shorter ones, cut at both ends, next to them and at a random
+    # place.  The part that runs to the end is searched with the LCP of its
+    # own index; the other is sorted by the whole string, so a position's
+    # predecessor need not be the one in the part's own index, and its
+    # values are only checked as bounds (see _assert_range_bounds)
     rng = np.random.Generator(np.random.Philox(41))
+    seen = _record_reach_order(monkeypatch)
     for u, m in _pinned_batch():
         n = u.size
         if n >= 200:
@@ -408,18 +410,100 @@ def test_ranges_search_as_their_own_transforms():
             assert j == parts[0].code_bits + parts[1].code_bits - whole.code_bits
             assert _stats(joint) == _stats(whole)
             for (lo, hi), part in zip(((0, c), (c, n)), parts):
-                reach = _range_reach(index.rank, index.lcp, lo, hi)
-                own = _suffix_index(x[lo:hi])
-                exact = _repeat_reach(own.rank, own.lcp)
-                if hi == n:
-                    assert np.array_equal(reach, exact), (m, n, lo, hi)
-                else:
-                    assert np.all(reach >= exact), (m, n, lo, hi)
-                # no repeat runs past the end of its suffix
-                assert np.all(reach <= np.arange(hi - lo, 0, -1)), (m, n, lo, hi)
-                best, parse = _sweep(code, index, lo, hi, reach)
+                seen.clear()
+                best, parse = _sweep(code, index, lo, hi)
                 k, l, distinct = parse or (0, 0, 0)
                 assert (best, k, l, distinct + 1) == _stats(part), (m, n, lo, hi)
+                if hi < n:
+                    _assert_range_bounds(x, lo, hi, seen)
+                elif seen:
+                    own = _suffix_index(x[lo:hi])
+                    assert np.array_equal(seen[0][0], own.lcp[own.rank]), (m, n, lo, hi)
+
+
+def _record_reach_order(monkeypatch):
+    """Record the ``(before, kcap)`` that each sweep sorts its positions by."""
+    seen = []
+
+    def record(before, kcap):
+        seen.append((before.copy(), kcap))
+        return _reach_order(before, kcap)
+
+    monkeypatch.setattr(transform, "_reach_order", record)
+    return seen
+
+
+def _assert_range_bounds(x, lo, hi, seen):
+    """The values a sweep of x[lo:hi] sorted by (``seen``) bound its repeats.
+
+    For every k up to the sweep's kcap and every phase, the positions of the
+    phase at k or above are at least the blocks that repeat an earlier one,
+    p - distinct; kcap is at least the range's longest repeat, and no value
+    runs past the end of its suffix.  Returns how many phases are tight.
+    """
+    n = hi - lo
+    longest = int(_suffix_index(x[lo:hi]).lcp.max(initial=0))
+    if not seen:  # the sweep stopped before sorting: nothing repeats
+        assert longest == 0, (lo, hi)
+        return 0
+    (before, kcap), = seen
+    assert before.size == n and kcap == int(before.max()) >= longest, (lo, hi)
+    assert np.all(before <= np.arange(n, 0, -1)), (lo, hi)
+    listed = x[lo:hi].tolist()
+    tight = 0
+    for k in range(1, kcap + 1):
+        counts = np.bincount(np.flatnonzero(before >= k) % k, minlength=k)
+        for l in range(min(k, n - k + 1)):
+            repeats = (n - l) // k - RankedBlockTable.from_parse(listed, k, l).num_blocks
+            assert counts[l] >= repeats, (lo, hi, k, l)
+            tight += counts[l] == repeats
+    return tight
+
+
+def test_range_values_bound_the_repeats_of_every_phase(monkeypatch):
+    # random, doubled, near-doubled and tiled strings, whole and as ranges
+    # that end before the end; the bound is equal on some phase, at k = 1
+    # always
+    seen = _record_reach_order(monkeypatch)
+    rng = np.random.Generator(np.random.Philox(47))
+    tight = 0
+    for m in (2, 3, 27, 300):
+        code = SymbolCode(m)
+        for n in (12, 30, 80):
+            for u in _strings_of_each_kind(rng, m, n):
+                x = _as_symbols(u, m)
+                index = _suffix_index(x)
+                cut = int(rng.integers(n // 2, n))
+                for lo, hi in ((0, n), (0, cut), (n - cut, cut)):
+                    seen.clear()
+                    _sweep(code, index, lo, hi)
+                    tight += _assert_range_bounds(x, lo, hi, seen)
+    assert tight
+
+
+def test_a_range_index_is_built_once_per_sweep(monkeypatch):
+    # a range whose longest repeat passes _PAIRS_ABOVE also takes the
+    # aligned-repeat caps from the one range index of its sweep
+    built, caps = [], []
+
+    def range_index(*args):
+        built.append(args[2:])
+        return _range_index(*args)
+
+    def pair_caps(rank, lcp, kcap):
+        caps.append(kcap)
+        return _pair_caps(rank, lcp, kcap)
+
+    monkeypatch.setattr(transform, "_range_index", range_index)
+    monkeypatch.setattr(transform, "_pair_caps", pair_caps)
+    u, m = _long_repeat_input("doubled", 600)
+    x = _as_symbols(u, m)
+    index = _suffix_index(x)
+    for lo, hi in ((0, 600), (0, 500), (50, 600)):
+        built.clear(), caps.clear()
+        _sweep(SymbolCode(m), index, lo, hi)
+        assert built == [(lo, hi)]
+        assert len(caps) == 1 and caps[0] > transform._PAIRS_ABOVE
 
 
 def _long_repeat_input(kind, n):
@@ -503,7 +587,7 @@ def test_codec_never_builds_the_rule_tuples(monkeypatch, corpus_symbols):
 
 
 def test_phase_duplicates_match_a_count_of_each_k():
-    # and each phase's singleton floor is at most its exact cost, and equal on
+    # and each phase's first-of-class floor is at most its exact cost, and equal on
     # some; pricing a phase by block_cost is O(n), so the floor is checked up
     # to k = 64, past which the tiled and doubled strings have 3M phases
     rng = np.random.Generator(np.random.Philox(31))
@@ -521,13 +605,13 @@ def test_phase_duplicates_match_a_count_of_each_k():
                     half = _random_string(rng, m, n // 2)
                     u = np.concatenate([half, half, _random_string(rng, m, n % 2)])
                 rank, lcp, *_ = _suffix_index(_as_symbols(u, m))
-                reach = _repeat_reach(rank, lcp)
+                before = lcp[rank]
                 kcap = int(lcp.max(initial=0))
-                order, below = _reach_order(reach, kcap)
+                order, below = _reach_order(before, kcap)
                 listed = u.tolist()
                 for k in range(1, kcap + 1):
                     edge = int(below[k - 1])
-                    want = np.bincount(np.flatnonzero(reach >= k) % k, minlength=k)
+                    want = np.bincount(np.flatnonzero(before >= k) % k, minlength=k)
                     assert np.array_equal(_phase_duplicates(order, edge, k), want)
                     sides.add(n - edge <= edge)
                     if k > 64:
@@ -578,11 +662,11 @@ def test_pair_caps_bound_the_repeats_of_every_phase(monkeypatch, pairs_above):
                 index = _suffix_index(x)
                 cut = int(rng.integers(n // 2, n))
                 for lo, hi in ((0, n), (0, cut), (n - cut, cut)):
-                    reach = _range_reach(index.rank, index.lcp, lo, hi)
-                    kcap = int(reach.max(initial=0))
+                    rank, lcp = _range_index(index.rank, index.lcp, lo, hi)
+                    kcap = int(lcp.max(initial=0))  # at least the sweep's kcap
                     if kcap <= pairs_above:
                         continue
-                    caps = _pair_caps(*_range_index(index.rank, index.lcp, lo, hi), kcap)
+                    caps = _pair_caps(rank, lcp, kcap)
                     listed = x[lo:hi].tolist()
                     for k in range(pairs_above + 1, kcap + 1):
                         repeats = [(hi - lo - l) // k
@@ -593,7 +677,7 @@ def test_pair_caps_bound_the_repeats_of_every_phase(monkeypatch, pairs_above):
                         assert caps.level(k) >= sum(repeats), (m, n, lo, hi, k)
                         tight += caps.level(k) == sum(repeats) > 0
                     if n <= 30:
-                        best, _ = _sweep(code, index, lo, hi, reach)
+                        best, _ = _sweep(code, index, lo, hi)
                         assert best == reference_min_bits(code, listed), (m, n, lo, hi)
     assert tight
 
@@ -701,7 +785,7 @@ def test_block_build_ranks_as_the_table(m, ks):
                 assert g.base.rules[:-1] == tuple(block for block, _ in table.entries)
                 rank = {block: i for i, (block, _) in enumerate(table.entries, start=m + 1)}
                 refs = [rank[tuple(u[l + i * k : l + (i + 1) * k].tolist())] for i in range(p)]
-                assert g.base.primary == tuple(u[:l].tolist() + refs + u[l + p * k :].tolist())
+                assert g.base.rules[-1] == tuple(u[:l].tolist() + refs + u[l + p * k :].tolist())
                 assert (g.head_len, g.tail_len) == (l, len(u) - l - p * k)
 
 
