@@ -48,15 +48,6 @@ class SymbolCode:
         """Width in bits of the codewords for symbols -1 .. m."""
         return (self.m + 1).bit_length() + 1
 
-    @property
-    def length_bound_constant(self) -> int:
-        """Smallest c with |code(m+j)| <= log2 j + 2 log2 log2 j + c, j >= 2.
-
-        For this construction the supremum is attained at j = 2 (6 bits
-        against log2 2 = 1), giving c = 5.
-        """
-        return 5
-
 
 def symbol_length(code: SymbolCode, n: int) -> int:
     """Bit length of the codeword of ``n`` without materializing it."""

@@ -160,6 +160,29 @@ class DictionaryGrammar:
     def num_rules(self) -> int:
         return self.offsets.size - 1
 
+    @cached_property
+    def _block_shape(self) -> tuple[int, int, int] | None:
+        """(k, head_len, tail_len) of the block shape the grammar fits, or None.
+
+        k is the length of the first rule, and the runs are the terminals
+        before the first and after the last reference; a primary of
+        terminals alone gets the longest head below k.  A grammar of one rule
+        is its primary, which can cite no rule: all head, with k = 0.  It is
+        inferred on the first read, and :func:`is_block_shaped` and
+        :func:`expand` both read it.
+        """
+        prim = self.symbols[self.offsets[-2] :]
+        if self.num_rules == 1:
+            return 0, prim.size, 0
+        k = int(self.offsets[1])
+        refs = np.flatnonzero(prim > self.m)
+        if refs.size:
+            head, tail = int(refs[0]), prim.size - 1 - int(refs[-1])
+        else:
+            head = min(prim.size, k - 1)
+            tail = prim.size - head
+        return None if _shape_error(self, k, head, tail) else (k, head, tail)
+
 
 @dataclass(frozen=True)
 class BlockGrammar:
@@ -209,34 +232,13 @@ def _shape_error(g: DictionaryGrammar, k: int, head_len: int, tail_len: int) -> 
     return None
 
 
-def _block_shape(g: DictionaryGrammar) -> tuple[int, int, int] | None:
-    """(k, head_len, tail_len) of the block shape ``g`` fits, or None.
-
-    k is the length of the first rule, and the runs are the terminals before
-    the first and after the last reference; a primary of terminals alone
-    gets the longest head below k.  A grammar of one rule is its primary,
-    which can cite no rule: all head, with k = 0.
-    """
-    prim = g.symbols[g.offsets[-2] :]
-    if g.num_rules == 1:
-        return 0, prim.size, 0
-    k = int(g.offsets[1])
-    refs = np.flatnonzero(prim > g.m)
-    if refs.size:
-        head, tail = int(refs[0]), prim.size - 1 - int(refs[-1])
-    else:
-        head = min(prim.size, k - 1)
-        tail = prim.size - head
-    return None if _shape_error(g, k, head, tail) else (k, head, tail)
-
-
 def is_block_shaped(g: DictionaryGrammar) -> bool:
     """True if ``g`` is a block grammar (or a bare terminal primary).
 
     A block grammar is terminal k-blocks, then a primary rule of a head run,
     references and a tail run, each run shorter than k.
     """
-    return _block_shape(g) is not None
+    return g._block_shape is not None
 
 
 def expand(g: DictionaryGrammar, max_len: int | None = None) -> np.ndarray:
@@ -247,24 +249,22 @@ def expand(g: DictionaryGrammar, max_len: int | None = None) -> np.ndarray:
     :class:`ExpansionLimitError`.  The cited k-blocks are gathered straight
     into the output.  Raises ValueError when ``g`` is not block shaped.
     """
-    shape = _block_shape(g)
-    if shape is None:
+    if g._block_shape is None:
         raise ValueError("grammar is not block shaped")
-    k, head, tail = shape
-    m = g.m
+    k, head, tail = g._block_shape
     prim = g.symbols[g.offsets[-2] :]
     refs = prim[head : prim.size - tail]
     total = head + refs.size * k + tail
     if max_len is not None and total > max_len:
         raise ExpansionLimitError(f"expansion has {total} terminals (limit {max_len})")
-    dtype = symbol_dtype(m)
+    dtype = symbol_dtype(g.m)
     out = np.empty(total, dtype=dtype)
     out[:head] = prim[:head]
     blocks = g.symbols[: g.offsets[-2]].astype(dtype).reshape(g.num_rules - 1, k)
     # every reference names one of the blocks (it is above m and below the
     # primary's symbol), so "clip" clips nothing; unlike "raise" it writes
     # into the output without a buffer
-    np.take(blocks, refs - (m + 1), axis=0, mode="clip",
+    np.take(blocks, refs - (g.m + 1), axis=0, mode="clip",
             out=out[head : total - tail].reshape(refs.size, k))
     out[total - tail :] = prim[prim.size - tail :]
     return out

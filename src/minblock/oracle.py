@@ -107,7 +107,7 @@ def universality_bound(code: SymbolCode, x, k: int, pi: Mapping) -> float:
     overlapping k-blocks of ``x``, where::
 
         C(k)    = (m**k * (k+1) + 2k + 2) * fixed_len
-        C(n, k) = C(k) + (n/k) * (2*log2(k*log2 m) + length_bound_constant)
+        C(n, k) = C(k) + (n/k) * (2*log2(k*log2 m) + 5)
 
     A block of ``x`` with zero probability makes the bound vacuous (+inf).
     """
@@ -120,7 +120,10 @@ def universality_bound(code: SymbolCode, x, k: int, pi: Mapping) -> float:
     m = code.m
     fl = code.fixed_len
     c_k = (m**k * (k + 1) + 2 * k + 2) * fl
-    c_nk = c_k + (n / k) * (2 * math.log2(k * math.log2(m)) + code.length_bound_constant)
+    # 5 is the least c with |code(m + j)| <= log2 j + 2 log2 log2 j + c for
+    # j >= 2: the supremum of the left side minus the log terms is at j = 2,
+    # a 6-bit codeword against log2 2 = 1 (and log2 log2 2 = 0)
+    c_nk = c_k + (n / k) * (2 * math.log2(k * math.log2(m)) + 5)
     total = 0.0
     for i in range(n - k + 1):
         p = float(pi.get(tuple(x[i : i + k]), 0.0))

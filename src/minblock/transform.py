@@ -41,11 +41,12 @@ read off the highest bit in which two words differ.
 * A block of phase l repeats an earlier block only if both start at places
   congruent mod k and share their k-gram, so a k-gram class of c members
   holds at most c - 1 repeats over all phases of k, and a class of two
-  holds one only when its members lie a multiple of k apart.  Once some
-  repeat is long enough for it to pay, these aligned-repeat caps, per block
-  length and per phase, bound the first-of-class floors: an input
-  with a long repeat then counts the phases of the few k that divide the
-  repeat's distance, not every phase up to its length.
+  holds one only when its members lie a multiple of k apart.  These
+  aligned-repeat caps, per block length and per phase, are built for the
+  first block length above 32 that the first-of-class floor does not prune,
+  and bound the floors from then on: an input with a long repeat then
+  counts the phases of the few k that divide the repeat's distance, not
+  every phase up to its length.
 * A block length is skipped outright when even one secondary rule would
   already cost more than the best grammar found so far.
 
@@ -145,8 +146,10 @@ class TransformResult:
     The search does not build the grammar.  ``grammar`` and ``dictionary``
     build it from the winning parse the first time either is read, and keep
     it; callers that read only the statistics, such as the sweep and the MI
-    bound, never pay for it.  The result keeps a copy of the input symbols
-    and the class IDs of the parse's blocks to build it from.
+    bound, never pay for the build.  They do pay for what it is built from,
+    which every transform gathers: a copy of the input symbols and the
+    class IDs of the parse's blocks, whose k-gram classes take one cumulative
+    sum over the input.
     """
 
     code_bits: int
@@ -450,9 +453,12 @@ def _phase_duplicates(order: np.ndarray, edge: int, k: int) -> np.ndarray:
     return (n - np.arange(k) + k - 1) // k - np.bincount(order[:edge] % k, minlength=k)
 
 
-# the pairs of block lengths above this are told apart; below it a random
-# input has pairs at nearly every place (its longest repeat is near
-# 2 log2 n), so the tables would cost more than they prune
+# the aligned-repeat caps bound only block lengths above this.  Their
+# tables are built for the first such k that the first-of-class floor does
+# not prune, which a long repeat, with classes of two at nearly every k up
+# to its length, brings about.  A random input's longest repeat, near
+# 2 log2 n, passes 32 from about 2^17 symbols, but there the floor alone
+# prunes every k above 32, so the tables are not built
 _PAIRS_ABOVE = 32
 
 
@@ -497,8 +503,9 @@ def _pair_caps(rank: np.ndarray, lcp: np.ndarray, kcap: int) -> _PairCaps:
     lcp[r + 1]), lcp[r]], one interval per place, so I is one difference
     array.  A is counted per distance d from its divisors k: the pairs at
     d whose interval holds k, by two searchsorted calls on the intervals'
-    ends sorted by (d, end).  At or below _PAIRS_ABOVE the caps are n,
-    which bind nothing.
+    ends sorted by (d, end).  :func:`_sweep` builds the caps only once a
+    block length above _PAIRS_ABOVE gets past its first-of-class floor, and
+    reads them only above it: the entries at or below it are not caps.
 
     Before the end of x the LCP of a range is an upper bound.  A class then
     holds the blocks of one k-gram, as before, and perhaps places whose
@@ -507,7 +514,6 @@ def _pair_caps(rank: np.ndarray, lcp: np.ndarray, kcap: int) -> _PairCaps:
     either the true pair or holds at most one block; so the caps can only
     overcount.
     """
-    n = rank.size
     places = np.flatnonzero(lcp > _PAIRS_ABOVE)
     hi = np.minimum(lcp[places], kcap)
     rest = np.bincount(hi, minlength=kcap + 1)[::-1].cumsum()[::-1]  # P(k)
@@ -517,9 +523,8 @@ def _pair_caps(rank: np.ndarray, lcp: np.ndarray, kcap: int) -> _PairCaps:
     places, lo, hi = places[pair], lo[pair], hi[pair]
     rest -= np.cumsum(np.bincount(lo + 1, minlength=kcap + 2)
                       - np.bincount(hi + 1, minlength=kcap + 2))[: kcap + 1]  # I(k)
-    rest[: _PAIRS_ABOVE + 1] = n
-    sa = np.empty(n, rank.dtype)
-    sa[rank] = np.arange(n, dtype=rank.dtype)
+    sa = np.empty(rank.size, rank.dtype)
+    sa[rank] = np.arange(rank.size, dtype=rank.dtype)
     pos = sa[places - 1].astype(np.int64)
     dist = np.abs(sa[places] - pos)
     # each distance with its divisors k <= kcap: j and d // j for j*j <= d
@@ -576,6 +581,19 @@ def _floor(fl: int, k: int, p: int, repeats: int, runs: int) -> int:
     return _price(fl, k, max(1, s), runs, _rank_length_sum(s) + 3 * (p - s))
 
 
+def _length_pruned(fl: int, n: int, k: int, repeats: int, best: int) -> bool:
+    """Whether no phase of block length k can cost less than ``best`` when at
+    most ``repeats`` blocks repeat an earlier one over all its phases.
+
+    A phase of a string of n symbols parses n // k blocks or one fewer, so
+    the floor (:func:`_floor`) of those two counts is the cheapest
+    conceivable cost.
+    """
+    p_hi = n // k
+    return all(_floor(fl, k, p, repeats, n - p * k) >= best
+               for p in {p_hi, max(p_hi - 1, 1)})
+
+
 def _sweep(code: SymbolCode, index: _SuffixIndex, lo: int, hi: int):
     """Cost of the cheapest block grammar of x[lo:hi], and its parse.
 
@@ -600,23 +618,22 @@ def _sweep(code: SymbolCode, index: _SuffixIndex, lo: int, hi: int):
     if kcap < 1:
         return best, None
     order, below = _reach_order(before, kcap)
-    pairs = _pair_caps(rank, lcp, kcap) if kcap > _PAIRS_ABOVE else None
+    pairs = None  # the aligned-repeat caps, once a block length needs them
     rank_len = _rank_length_table(n)
 
     for k in range(1, kcap + 1):
         if (k + 1) * fl >= best:
             break
-        p_hi = n // k
         edge = int(below[k - 1])
         repeats = n - edge  # positions whose k-gram is not the first of its class
         if pairs is not None:
             repeats = min(repeats, pairs.level(k))
-
-        # cheapest conceivable cost of any phase, whose block count is one
-        # of these, given the repeats of the whole block length
-        if all(_floor(fl, k, p, repeats, n - p * k) >= best
-               for p in {p_hi, max(p_hi - 1, 1)}):
+        if _length_pruned(fl, n, k, repeats, best):
             continue
+        if pairs is None and k > _PAIRS_ABOVE:
+            pairs = _pair_caps(rank, lcp, kcap)
+            if _length_pruned(fl, n, k, min(repeats, pairs.level(k)), best):
+                continue
 
         per_shift = _phase_duplicates(order, edge, k)
         if pairs is not None:

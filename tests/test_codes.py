@@ -136,17 +136,18 @@ def test_kraft_sum_below_one():
 
 
 def test_length_bound_constant_is_tight():
+    # the constant c = 5 of oracle.universality_bound: the supremum of
+    # |code(m + j)| - log2 j - 2 log2 log2 j over j >= 2
     code = SymbolCode(2)
-    c = code.length_bound_constant
     worst = 0.0
     for j in range(2, 200_000):
         slack = symbol_length(code, code.m + j) - math.log2(j)
         if j > 2:
             slack -= 2 * math.log2(math.log2(j))
         worst = max(worst, slack)
-    assert worst <= c
+    assert worst == 5
     # attained exactly at offset 2: 6 bits vs log2(2) = 1
-    assert symbol_length(code, code.m + 2) - 1.0 == c
+    assert symbol_length(code, code.m + 2) - 1.0 == 5
 
 
 def test_domain_errors():

@@ -45,7 +45,7 @@ def test_universality_bound_uniform_distribution():
     pi = {b: 1 / 4 for b in [(1, 1), (1, 2), (2, 1), (2, 2)]}
     fl = code.fixed_len
     c_k = (2**k * (k + 1) + 2 * k + 2) * fl
-    c_nk = c_k + (n / k) * (2 * math.log2(k) + code.length_bound_constant)
+    c_nk = c_k + (n / k) * (2 * math.log2(k) + 5)
     want = c_nk + (n - k + 1) * math.log2(2**k) / k
     assert universality_bound(code, x, k, pi) == pytest.approx(want)
 
@@ -57,7 +57,7 @@ def test_universality_bound_deterministic_string():
     pi = {(1, 1, 1): 1.0}
     fl = code.fixed_len
     c_k = (2**k * (k + 1) + 2 * k + 2) * fl
-    c_nk = c_k + (n / k) * (2 * math.log2(k * 1.0) + code.length_bound_constant)
+    c_nk = c_k + (n / k) * (2 * math.log2(k * 1.0) + 5)
     assert universality_bound(code, x, k, pi) == pytest.approx(c_nk)
 
 

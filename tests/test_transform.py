@@ -23,10 +23,11 @@ from minblock import (
     grammar_code_length,
     minimal_block_transform,
 )
-from minblock import transform
+from minblock import grammar, transform
 from minblock.analysis import _mi_and_joint, mi_bound, pointwise_mi
 from minblock.cli import parse_source, run_sweep
 from minblock.grammar import symbol_dtype
+from minblock.sources import gen_bernoulli
 from minblock.transform import (
     _as_symbols,
     _build_block_grammar,
@@ -506,6 +507,24 @@ def test_a_range_index_is_built_once_per_sweep(monkeypatch):
         assert len(caps) == 1 and caps[0] > transform._PAIRS_ABOVE
 
 
+def test_pair_caps_wait_for_a_block_length_past_its_floor(monkeypatch):
+    # a random input's longest repeat passes _PAIRS_ABOVE (34 here), but the
+    # first-of-class floor prunes every k above it on its own, so the
+    # aligned-repeat tables are not built; the result is the one the search
+    # found when it built them whenever the longest repeat passed 32
+    caps = []
+
+    def pair_caps(rank, lcp, kcap):
+        caps.append(kcap)
+        return _pair_caps(rank, lcp, kcap)
+
+    monkeypatch.setattr(transform, "_pair_caps", pair_caps)
+    u = gen_bernoulli((0.5, 0.5), 1 << 17, 7)
+    assert int(_suffix_index(_as_symbols(u, 2)).lcp.max()) == 34 > transform._PAIRS_ABOVE
+    assert _stats(minimal_block_transform(SymbolCode(2), u)) == (224521, 7, 0, 129)
+    assert caps == []
+
+
 def _long_repeat_input(kind, n):
     """A doubled or near-doubled random binary string, or the CLI's all-bytes input."""
     rng = np.random.Generator(np.random.Philox(8 if kind == "all-bytes" else 5))
@@ -731,6 +750,36 @@ def test_decode_rejects_a_non_block_grammar():
     g = DictionaryGrammar(2, ((1, 2), (3, 1), (4, 4)))
     with pytest.raises(CorruptionError, match="not block shaped"):
         decode(code, encode_grammar(code, g))
+
+
+def test_decode_infers_the_block_shape_once(monkeypatch):
+    # one shape check per decode, though decode asks is_block_shaped and then
+    # expand; it still looks both up in transform, where the traced
+    # benchmark run wraps them
+    code = SymbolCode(2)
+    u = [2] + [1, 2] * 40 + [1]
+    bits = encode(code, u)
+    checks, calls = [], []
+    shape_error = grammar._shape_error
+
+    def check(*args):
+        checks.append(args[1:])
+        return shape_error(*args)
+
+    def counted(name):
+        f = getattr(transform, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(grammar, "_shape_error", check)
+    for name in ("is_block_shaped", "expand"):
+        monkeypatch.setattr(transform, name, counted(name))
+    assert np.array_equal(decode(code, bits), u)
+    assert len(checks) == 1
+    assert calls == ["is_block_shaped", "expand"]
 
 
 def test_decompress_limits_a_grammar_of_empty_citations():
