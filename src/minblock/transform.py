@@ -51,9 +51,9 @@ read off the highest bit in which two words differ.
   already cost more than the best grammar found so far.
 
 Every bound is exact or a true lower bound, so pruning never changes the
-result.  The search itself builds no grammar: the class IDs of the winning
-parse are gathered once, after the sweep, and the result builds its grammar
-from them when it is first read.
+result.  The search itself builds no grammar: the result keeps the input
+with its ranks and LCP, and only when its grammar is first read gathers the
+class IDs of the winning parse's blocks and builds the grammar from them.
 
 The sweep can search any range x[lo:hi] of the indexed string x, so one
 index of u + v prices u, v and u + v for the pointwise mutual information.
@@ -146,10 +146,10 @@ class TransformResult:
     The search does not build the grammar.  ``grammar`` and ``dictionary``
     build it from the winning parse the first time either is read, and keep
     it; callers that read only the statistics, such as the sweep and the MI
-    bound, never pay for the build.  They do pay for what it is built from,
-    which every transform gathers: a copy of the input symbols and the
-    class IDs of the parse's blocks, whose k-gram classes take one cumulative
-    sum over the input.
+    bound, never pay for the build.  Until then the result keeps what the
+    build reads: a copy of the input symbols and their suffix ranks and LCP,
+    8 bytes a symbol besides the copy.  Once the grammar is built it lets go
+    of all three.
     """
 
     code_bits: int
@@ -157,21 +157,22 @@ class TransformResult:
     block_len: int  # 0 for the bare terminal grammar
     shift: int
     m: int
-    _symbols: np.ndarray = field(repr=False, compare=False)
-    _block_ids: np.ndarray | None = field(repr=False, compare=False)
+    # (symbols, rank, lcp) of the input until the grammar is built, then None
+    _source: tuple | None = field(repr=False, compare=False)
 
     @cached_property
     def grammar(self) -> BlockGrammar | DictionaryGrammar:
-        if self._block_ids is None:
-            arr = self._symbols
-            return DictionaryGrammar.from_arrays(self.m, arr.astype(np.int64), [0, arr.size])
-        return _build_block_grammar(self._symbols, self.m, self.block_len, self.shift,
-                                    self._block_ids)
+        arr, rank, lcp = self._source
+        if self.block_len:
+            g = _build_block_grammar(arr, self.m, self.block_len, self.shift, rank, lcp)
+        else:
+            g = DictionaryGrammar.from_arrays(self.m, arr.astype(np.int64), [0, arr.size])
+        object.__setattr__(self, "_source", None)  # the result is frozen
+        return g
 
     @property
     def dictionary(self) -> DictionaryGrammar:
-        g = self.grammar
-        return g.base if isinstance(g, BlockGrammar) else g
+        return self.grammar.base if self.block_len else self.grammar
 
 
 def block_cost(code: SymbolCode, table: RankedBlockTable, k: int, l: int, tail: int) -> int:
@@ -565,6 +566,9 @@ def _price(fl: int, k: int, blocks: int, runs: int, refs: int) -> int:
     return (blocks * (k + 1) + runs + 2) * fl + refs
 
 
+_RANK_1_BITS = rank_length(1)  # the cheapest reference
+
+
 def _floor(fl: int, k: int, p: int, repeats: int, runs: int) -> int:
     """Fewest bits of a parse of ``p`` blocks and ``runs`` terminals in which
     at most ``repeats`` blocks repeat an earlier block.
@@ -575,10 +579,10 @@ def _floor(fl: int, k: int, p: int, repeats: int, runs: int) -> int:
     left out is the first of its k-gram class in sorted order, so no two of
     them are equal.  Each distinct block takes a rank of its own, so s of
     them cost at least the s cheapest ranks, ranks 1..s, and every other
-    reference at least the 3 bits of rank 1.
+    reference at least the bits of rank 1.
     """
     s = max(0, p - repeats)
-    return _price(fl, k, max(1, s), runs, _rank_length_sum(s) + 3 * (p - s))
+    return _price(fl, k, max(1, s), runs, _rank_length_sum(s) + _RANK_1_BITS * (p - s))
 
 
 def _length_pruned(fl: int, n: int, k: int, repeats: int, best: int) -> bool:
@@ -677,17 +681,20 @@ def _sweep(code: SymbolCode, index: _SuffixIndex, lo: int, hi: int):
     return best, best_parse
 
 
-def _build_block_grammar(arr: np.ndarray, m: int, k: int, l: int, ids: np.ndarray):
+def _build_block_grammar(arr: np.ndarray, m: int, k: int, l: int, rank: np.ndarray,
+                         lcp: np.ndarray):
     """Materialize the ranked grammar for the (k, l) parse of ``arr``.
 
-    ``ids`` are the k-gram class IDs (:func:`_kgram_classes`) of the parse's
-    blocks, which are below n + 1.  Blocks are ranked by descending count,
-    ties by ascending block, as in :class:`RankedBlockTable`: the IDs ascend
-    in block order, and a stable sort on the count keeps that order within a
-    tie.
+    ``rank`` and ``lcp`` are the suffix index of ``arr``
+    (:func:`_suffix_index`).  The parse's blocks are told apart by their
+    k-gram class IDs (:func:`_kgram_classes`), which are below n + 1.
+    Blocks are ranked by descending count, ties by ascending block, as in
+    :class:`RankedBlockTable`: the IDs ascend in block order, and a stable
+    sort on the count keeps that order within a tie.
     """
     n = arr.size
-    p = ids.size
+    p = (n - l) // k
+    ids = _kgram_classes(lcp, k)[rank[l : l + p * k : k]]
     counts = np.bincount(ids)
     present = np.flatnonzero(counts)
     ranked = present[np.argsort(-counts[present], kind="stable")]
@@ -721,22 +728,20 @@ def minimal_block_transform(code: SymbolCode, u) -> TransformResult:
 def _transform(code: SymbolCode, arr: np.ndarray, index: _SuffixIndex) -> TransformResult:
     """:func:`minimal_block_transform` of ``arr``, from its suffix index.
 
-    The result keeps ``arr``.
+    The result keeps ``arr`` and the index's ranks and LCP until its grammar
+    is built.
     """
-    n = arr.size
-    rank, lcp = index.rank, index.lcp
-    best, parse = _sweep(code, index, 0, n)
+    best, parse = _sweep(code, index, 0, arr.size)
     k, l, distinct = parse or (0, 0, 0)
-    ids = None if parse is None else _kgram_classes(lcp, k)[rank[l : l + (n - l) // k * k : k]]
     return TransformResult(code_bits=best, num_rules=distinct + 1, block_len=k, shift=l,
-                           m=code.m, _symbols=arr, _block_ids=ids)
+                           m=code.m, _source=(arr, index.rank, index.lcp))
 
 
 def _split_transforms(code: SymbolCode, x: np.ndarray, cut: int) -> tuple[int, int, TransformResult]:
     """Code lengths of ``x[:cut]`` and ``x[cut:]``, and the transform of ``x``.
 
     One suffix index of ``x`` serves all three searches; the result keeps
-    ``x``.
+    ``x`` and its ranks and LCP until its grammar is built.
     """
     index = _suffix_index(x)
     bu, bv = (_sweep(code, index, lo, hi)[0] for lo, hi in ((0, cut), (cut, x.size)))
@@ -745,8 +750,8 @@ def _split_transforms(code: SymbolCode, x: np.ndarray, cut: int) -> tuple[int, i
 
 def encode(code: SymbolCode, u) -> BitString:
     """Binary code of ``u``: the emission of its cheapest block grammar."""
-    # the result, with the copy of u it builds the grammar from, is freed
-    # before the emission runs
+    # the result lets go of the copy of u, its ranks and LCP once it has built
+    # the grammar, so none of them is held while the emission runs
     grammar = minimal_block_transform(code, u).dictionary
     return encode_grammar(code, grammar)
 

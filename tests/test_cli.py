@@ -556,6 +556,15 @@ def test_entropy_of_a_constant_file_is_positive_zero(tmp_path, capsys, disjoint)
         "block_entropy_bits=0.000000", "bits_per_symbol=0.000000"]
 
 
+def test_entropy_of_a_missing_or_empty_file(tmp_path, capsys):
+    assert run(["entropy", tmp_path / "missing", "--k", 1]) == 2
+    assert capsys.readouterr().err.startswith("I/O error:")
+    empty = tmp_path / "empty"
+    empty.write_bytes(b"")
+    assert run(["entropy", empty, "--k", 1]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 @pytest.mark.parametrize("csv_name", ["fig-rules.svg", "./fig-rules.svg"])
 def test_sweep_refuses_two_outputs_in_one_file(tmp_path, capsys, monkeypatch, csv_name):
     # the CSV named as one of the SVGs, in either spelling, would be lost to

@@ -1,8 +1,10 @@
 """Transform: parse costs, global optimality, round trips, determinism."""
 
+import gc
 import hashlib
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -589,6 +591,39 @@ def test_statistics_do_not_build_the_grammar(monkeypatch):
         minimal_block_transform(code, x).grammar
 
 
+def test_only_a_grammar_read_gathers_the_class_ids(monkeypatch):
+    # these inputs' longest repeats are below w = 32, so the search keys every
+    # block by its packed word and never asks for the k-gram classes
+    calls = []
+    kept = []  # the input copy, ranks and LCP that each transform keeps
+    real_transform = transform._transform
+
+    def classes(lcp, k):
+        calls.append(k)
+        return _kgram_classes(lcp, k)
+
+    def watched(code, arr, index):
+        kept.extend(weakref.ref(a) for a in (arr, index.rank, index.lcp))
+        return real_transform(code, arr, index)
+
+    monkeypatch.setattr(transform, "_kgram_classes", classes)
+    monkeypatch.setattr(transform, "_transform", watched)
+    code = SymbolCode(2)
+    u, v = (gen_bernoulli((0.5, 0.5), 4096, seed) for seed in (1, 2))
+    joint = np.concatenate([u, v])
+    assert int(_suffix_index(joint).lcp.max()) < 32
+    r = minimal_block_transform(code, u)
+    assert r.block_len >= 1 and calls == []
+    g = r.grammar
+    assert calls == [r.block_len] and r.grammar is g
+    gc.collect()
+    assert len(kept) == 3 and all(ref() is None for ref in kept)
+    assert np.array_equal(decode(code, encode_grammar(code, r.dictionary)), u)
+    bits = [minimal_block_transform(code, x).code_bits for x in (u, v, joint)]
+    assert pointwise_mi(code, u, v) == bits[0] + bits[1] - bits[2]
+    assert calls == [r.block_len]
+
+
 def test_codec_never_builds_the_rule_tuples(monkeypatch, corpus_symbols):
     def refuse(g):
         raise AssertionError("the rule tuples were built")
@@ -826,10 +861,9 @@ def test_block_build_ranks_as_the_table(m, ks):
             u = np.concatenate([piece, rng.permutation(piece), piece[: 3 * k + 1]])
             arr = _as_symbols(u, m)
             suffix_rank, lcp, *_ = _suffix_index(arr)
-            classes = _kgram_classes(lcp, k)[suffix_rank]
             for l in range(k):
                 p = (len(u) - l) // k
-                g = _build_block_grammar(arr, m, k, l, classes[l : l + p * k : k])
+                g = _build_block_grammar(arr, m, k, l, suffix_rank, lcp)
                 table = RankedBlockTable.from_parse(u.tolist(), k, l)
                 assert g.base.rules[:-1] == tuple(block for block, _ in table.entries)
                 rank = {block: i for i, (block, _) in enumerate(table.entries, start=m + 1)}
