@@ -28,7 +28,6 @@ from .codes import SymbolCode
 from .plot import Series, render_loglog_svg
 from .sources import (
     SourceSpec,
-    alphabet_size,
     first_appearance_alphabet,
     ingest_corpus,
     map_bytes_to_symbols,
@@ -207,8 +206,8 @@ def run_sweep(specs, ns, *, warn=None) -> list[ExperimentRecord]:
     """
     rows = []  # the arguments of _sweep_row, in row order
     for spec in specs:
-        stream = realize(spec, max(ns))
-        code = SymbolCode(max(2, alphabet_size(spec, stream)))
+        stream, m = realize(spec, max(ns))
+        code = SymbolCode(max(2, m))
         for n in ns:
             if n <= stream.size:
                 rows.append((spec.label, code, stream, n))
@@ -372,8 +371,8 @@ def _cmd_gen(args) -> int:
     spec = parse_source(args.kind_spec, args.seed)
     if spec.kind not in {"bernoulli", "markov"}:
         raise UsageError("gen supports bernoulli:* and markov:* sources")
-    symbols = realize(spec, args.n)
-    if alphabet_size(spec, symbols) > 255:
+    symbols, m = realize(spec, args.n)
+    if m > 255:
         raise UsageError("gen writes one byte per symbol; alphabet must be <= 255")
     _write_atomic({args.output: np.asarray(symbols, dtype=np.uint8).tobytes()})
     return 0

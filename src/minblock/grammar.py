@@ -10,10 +10,11 @@ the separator 0, and the whole grammar ends with the terminator -1.  The
 emitter and the parser take any dictionary grammar, and both work on whole
 arrays: the emitter reads each reference's codeword and length from tables
 over the rule IDs and packs all codewords into 64-bit words at once; the
-parser finds the codeword starts by walking chunks of the payload in
-lockstep, which a prefix code allows because walks from a wrong start soon
-fall in step with the true one, then reads each codeword from one 64-bit
-window.
+parser finds the codeword starts by walking every chunk of the payload in
+lockstep, the first from bit 0 and so on the parse, which a prefix code
+allows because walks from a wrong start soon fall in step with the true
+one; the chunks are longer for a longer payload, up to a fixed cap.  Then
+it reads each codeword from one 64-bit window.
 
 Only block grammars are expanded: terminal k-blocks, then a primary rule of
 a head run, references and a tail run.  That is the only shape the block
@@ -37,6 +38,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate, chain
+from math import isqrt
 
 import numpy as np
 
@@ -330,8 +332,9 @@ def grammar_code_length(code: SymbolCode, g: DictionaryGrammar) -> int:
     return fixed * code.fixed_len + int(_rank_length_table(g.num_rules)[refs - 1].sum())
 
 
-# fixed-width codewords per chunk of the parse in decode_grammar, and
-# chunks per slice where the chains' starts are read off their steps
+# the most fixed-width codewords per chunk of the parse in decode_grammar
+# (fewer below 2**14 of them, see _parse), and chunks per slice where the
+# chains' starts are read off their steps
 _CHUNK_CODEWORDS = 128
 _SLICE_CHUNKS = 1024
 
@@ -389,40 +392,37 @@ def _parse(words: np.ndarray, data: bytes, nbits: int, fl: int) -> tuple[np.ndar
     is the payload and ``words`` the same bytes as 64-bit words, both with
     at least 32 zero bytes after the payload.
 
-    The payload is cut into chunks of ``_CHUNK_CODEWORDS`` fixed-width
-    codewords.  Chunk 0 is walked one codeword at a time from bit 0, which
-    is the parse.  A speculative chain is walked from every later chunk
-    start, all chunks in lockstep, each codeword's length read from the 16
-    bits at its start; where no codeword can start, the chain slides one
-    bit.  The parse enters a chunk where it left the chunk before, which is
-    the chain's exit from that chunk if it met that chain.  From each such
-    entry a second lockstep walk runs until it lands on a codeword start of
-    its chunk's chain, from where the two agree: a prefix code
-    resynchronizes within a few codewords (Klein & Wiseman 2003).  Where a
-    walk leaves its chunk without meeting the chain, anywhere but at the
-    exit, the entries of the chunks after it are wrong, and the parse goes
-    on one codeword at a time until it leaves a chunk at that chunk's exit.
-    The parse stops at the first place where no codeword can start: where a
-    walk stops, or where a chain that the parse met slides.  The secondary
-    rules of a block grammar are fixed width and start at bit 0, so there
-    every chain is the parse.
+    With N = ``nbits // fl``, the payload is cut into chunks of about
+    sqrt(N) fixed-width codewords, and at most ``_CHUNK_CODEWORDS``, so that
+    a short payload takes about as many lockstep steps as it has chains.  A
+    speculative chain is walked from every chunk start, all chunks in
+    lockstep, each codeword's length read from the 16 bits at its start;
+    where no codeword can start, the chain slides one bit.  Chunk 0's chain
+    starts at bit 0, so it is the parse.  The parse enters each later chunk
+    where it left the chunk before, which is the chain's exit from that
+    chunk if it met that chain.  From each such entry a second lockstep walk
+    runs until it lands on a codeword start of its chunk's chain, from where
+    the two agree: a prefix code resynchronizes within a few codewords
+    (Klein & Wiseman 2003).  Where a walk leaves its chunk without meeting
+    the chain, anywhere but at the exit, the entries of the chunks after it
+    are wrong, and the parse goes on one codeword at a time until it leaves
+    a chunk at that chunk's exit.  The parse stops at the first place where
+    no codeword can start: where a walk stops, or where a chain that the
+    parse met slides.  The secondary rules of a block grammar are fixed
+    width and start at bit 0, so there every chain is the parse.
     """
     table, steps, slide = _step_tables(fl)
-    lo = np.arange(0, nbits, _CHUNK_CODEWORDS * fl, dtype=np.int64)
+    size = min(_CHUNK_CODEWORDS, max(1, isqrt(nbits // fl))) * fl
+    lo = np.arange(0, nbits, size, dtype=np.int64)
     hi = np.append(lo[1:], nbits)
     n = lo.size
     if not n:
         return lo, 0
-    later = array("q")  # 8 bytes a start, where a list holds an int object
-    at, stopped = _walk_from(data, steps, 0, int(hi[0]), later)
-    if stopped or n == 1:
-        return np.array(later, np.int64), nbits + 1 if stopped else at
 
     # every chain's steps, one row per lockstep step (0 once it has left its
     # chunk, 1 where it slides, as no codeword is shorter than 3 bits), where
     # each chain leaves, and where it last slid (below its chunk if never)
     exit_, slid = lo.copy(), lo - 1
-    exit_[0] = at
     rows = []
     while True:
         step = slide[_windows(words, exit_) >> np.uint64(48)]
@@ -448,9 +448,10 @@ def _parse(words: np.ndarray, data: bytes, nbits: int, fl: int) -> tuple[np.ndar
     chain = np.concatenate(chain)
 
     # meet[c]: where the walk from chunk c's entry lands on the chain, hi[c]
-    # if it does not; out[c]: where the parse leaves chunk c, -1 if it stops
-    # in it
+    # if it does not, and 0 for chunk 0, whose chain is the parse; out[c]:
+    # where the parse leaves chunk c, -1 if it stops in it
     meet = hi.copy()
+    meet[0] = 0
     out = exit_.copy()
     walked, walked_in = [lo[:0]], [lo[:0]]  # the walks' starts before they meet
     look = np.append(chain, -1)  # a place after the last that no walk lands on
@@ -474,14 +475,16 @@ def _parse(words: np.ndarray, data: bytes, nbits: int, fl: int) -> tuple[np.ndar
     del look
 
     # one codeword at a time from wherever a chunk is left off its exit, and
-    # from the meeting to the slide in a chunk whose chain slides after it
+    # from the meeting to the slide in a chunk whose chain slides at or after
+    # it (chunk 0 meets its chain at bit 0)
+    later = array("q")  # 8 bytes a start, where a list holds an int object
     skip = np.zeros(n, bool)  # chunks walked here, or past where the parse stops
     end = int(out[-1])
     ahead = 0
-    for c in np.flatnonzero((out != exit_) | (slid > meet)).tolist():
+    for c in np.flatnonzero((out != exit_) | (slid >= meet)).tolist():
         if c < ahead:
             continue
-        if slid[c] > meet[c]:  # the parse follows the chain to the slide
+        if slid[c] >= meet[c]:  # the parse follows the chain to the slide
             _walk_from(data, steps, int(meet[c]), int(hi[c]), later)
             meet[c], out[c] = hi[c], -1
         if out[c] < 0:

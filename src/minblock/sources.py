@@ -137,22 +137,18 @@ def permute_characters(u, seed: int) -> np.ndarray:
     return _rng(seed).permutation(arr)
 
 
-def realize(spec: SourceSpec, n_max: int) -> np.ndarray:
-    """Materialize up to ``n_max`` symbols of a source (full file for corpora)."""
+def realize(spec: SourceSpec, n_max: int) -> tuple[np.ndarray, int]:
+    """Up to ``n_max`` symbols of a source (full file for corpora), and m.
+
+    m is the number of terminal symbols the stream is drawn from: the
+    length of the probability vector or of the transition table, or the
+    size of a corpus file's alphabet (0 for an empty file).
+    """
     if spec.kind == "bernoulli":
-        return gen_bernoulli(spec.probs, n_max, spec.seed)
+        return gen_bernoulli(spec.probs, n_max, spec.seed), len(spec.probs)
     if spec.kind == "markov":
-        return gen_markov(spec.transitions, n_max, spec.seed)
-    symbols, _ = ingest_corpus(spec.path)
+        return gen_markov(spec.transitions, n_max, spec.seed), len(spec.transitions)
+    symbols, alphabet = ingest_corpus(spec.path)
     if spec.kind == "permuted-corpus":
         symbols = permute_characters(symbols, spec.seed)
-    return symbols
-
-
-def alphabet_size(spec: SourceSpec, stream: np.ndarray) -> int:
-    """Number of terminal symbols the stream is drawn from."""
-    if spec.kind == "bernoulli":
-        return len(spec.probs)
-    if spec.kind == "markov":
-        return len(spec.transitions)
-    return int(stream.max()) if stream.size else 0
+    return symbols, len(alphabet)

@@ -779,10 +779,10 @@ def compress(u, m: int) -> bytes:
     return pack_frame(code.m, encode(code, u))
 
 
-def decompress(data: bytes, *, max_len: int | None = None) -> tuple[np.ndarray, int]:
+def decompress(data: bytes) -> tuple[np.ndarray, int]:
     """Inverse of :func:`compress`; returns (symbols, alphabet size)."""
     # imported at call time for the traced run's patch, as in compress
     from .bits import unpack_frame
 
     m, bits = unpack_frame(data)
-    return decode(SymbolCode(m), bits, max_len=max_len), m
+    return decode(SymbolCode(m), bits), m

@@ -85,6 +85,10 @@ def test_frame_errors():
         unpack_frame(corrupted)
     with pytest.raises(ValueError):
         pack_frame(1, payload)
+    # an alphabet below 2, which pack_frame refuses to write
+    for m in (0, 1):
+        with pytest.raises(CorruptionError, match=f"invalid alphabet size {m}"):
+            unpack_frame(blob[:5] + m.to_bytes(2, "big") + blob[7:])
 
 
 def test_frame_takes_an_alphabet_size_of_any_integer_type():

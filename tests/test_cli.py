@@ -30,7 +30,8 @@ from minblock.cli import (
     records_to_csv,
     run_sweep,
 )
-from minblock.sources import alphabet_size, realize
+from minblock.plot import Series, render_loglog_svg
+from minblock.sources import gen_markov, realize
 
 
 def run(args):
@@ -65,7 +66,7 @@ def _decode_is_refused(tmp_path, capsys, g):
     frame = pack_frame(g.m, encode_grammar(SymbolCode(g.m), g))
     start = time.perf_counter()
     with pytest.raises(CorruptionError, match="not block shaped"):
-        decompress(frame, max_len=1 << 31)
+        decompress(frame)
     enc = tmp_path / "hostile.mblk"
     enc.write_bytes(frame)
     dec = tmp_path / "hostile.out"
@@ -286,6 +287,11 @@ def test_parse_grid():
         parse_grid("2^-1..2^3")
     with pytest.raises(UsageError, match="increasing"):
         parse_grid("4,4,8")
+    # an exponent or a length that is not an integer
+    with pytest.raises(UsageError, match=r"bad grid '2\^a\.\.2\^3'"):
+        parse_grid("2^a..2^3")
+    with pytest.raises(UsageError, match="bad grid '10,x'"):
+        parse_grid("10,x")
     assert main(["sweep", "--source", "bernoulli:0.5", "--csv", "x.csv",
                  "--n-grid", "2^-1..2^3"]) == 1
 
@@ -299,6 +305,33 @@ def test_parse_source_kinds(tmp_path):
     table.write_text('{"transitions": [[0.9, 0.1], [0.5, 0.5]]}')
     spec = parse_source(f"markov:{table}", seed=1)
     assert spec.transitions == ((0.9, 0.1), (0.5, 0.5))
+
+
+def test_a_bad_probability_list_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(cli.UsageError, match="bad probability list '0.5,x'"):
+        parse_source("bernoulli:0.5,x", seed=0)
+    assert run(["gen", "bernoulli:0.5,x", tmp_path / "g.bin", "--n", 10]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: bad probability list '0.5,x'"]
+    assert not (tmp_path / "g.bin").exists()
+
+
+def test_sweep_of_a_markov_source(tmp_path):
+    # the stream is gen_markov's, and m is the size of the table
+    table = [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]]
+    path = tmp_path / "T.json"
+    path.write_text(f'{{"transitions": {table}}}')
+    csv_path = tmp_path / "r.csv"
+    assert run(["sweep", "--source", f"markov:{path}", "--csv", csv_path,
+                "--n-grid", "2^8..2^10", "--seed", 4]) == 0
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    u = gen_markov(table, 1 << 10, seed=4)
+    want = []
+    for n in (256, 512, 1024):
+        r = minimal_block_transform(SymbolCode(3), u[:n])
+        want.append((f"markov:{path}", n, r.shift, r.num_rules, r.block_len, r.code_bits))
+    assert [(row["source"], int(row["n"]), int(row["shift"]), int(row["rules"]),
+             int(row["block_len"]), int(row["code_bits"])) for row in rows] == want
 
 
 def test_sweep_csv_and_svg(tmp_path):
@@ -368,8 +401,8 @@ def _serial_rows(specs, ns):
     """The sweep's rows from one transform after another, in grid order."""
     rows = []
     for spec in specs:
-        stream = realize(spec, max(ns))
-        code = SymbolCode(max(2, alphabet_size(spec, stream)))
+        stream, m = realize(spec, max(ns))
+        code = SymbolCode(max(2, m))
         for n in ns:
             if n <= stream.size:
                 r = minimal_block_transform(code, stream[:n])
@@ -447,7 +480,7 @@ def test_one_cpu_runs_the_largest_first_one_at_a_time(monkeypatch):
     specs = [parse_source("bernoulli:0.5", seed=s) for s in (1, 2)]
     ns = [256, 512, 1024]
     run_sweep(specs, ns)
-    streams = [realize(spec, max(ns)) for spec in specs]
+    streams = [realize(spec, max(ns))[0] for spec in specs]
     started = sorted(calls, key=lambda call: call[2])
     for (_, _, _, end), (_, _, start, _) in zip(started, started[1:]):
         assert end <= start
@@ -545,6 +578,19 @@ def test_gen_permute_entropy(tmp_path, capsys):
     assert "block_entropy_bits=" in captured
     h = float(captured.split("block_entropy_bits=")[1].splitlines()[0])
     assert 0.99 < h <= 1.0
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("corpus:{tmp}/a.txt", "gen supports bernoulli:* and markov:* sources"),
+    ("bernoulli:" + ",".join(["0.00390625"] * 256),
+     "gen writes one byte per symbol; alphabet must be <= 255"),
+])
+def test_gen_refuses_what_one_byte_a_symbol_cannot_write(tmp_path, capsys, kind, message):
+    (tmp_path / "a.txt").write_bytes(b"abcab")
+    out = tmp_path / "g.bin"
+    assert run(["gen", kind.format(tmp=tmp_path), out, "--n", 10]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("disjoint", [[], ["--disjoint"]])
@@ -665,6 +711,17 @@ def test_a_bad_source_is_one_error_line(tmp_path, capsys, source, message):
     assert run(["sweep", "--source", source, "--csv", tmp_path / "r.csv"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {message}")
+
+
+def test_a_plot_of_no_positive_value_draws_its_axes_and_legend():
+    import xml.etree.ElementTree as ET
+
+    svg = render_loglog_svg([Series("zeros", (64, 128), (0.0, 0.0), None)], "t", "n", "v")
+    root = ET.fromstring(svg)
+    assert not list(root.iter("{http://www.w3.org/2000/svg}circle"))
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert "zeros (slope n/a)" in texts
+    assert texts.count("2^0") == texts.count("2^1") == 2  # unit axes in x and y
 
 
 def test_sweep_svgs_escape_the_source_label(tmp_path):

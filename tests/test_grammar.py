@@ -619,6 +619,39 @@ def test_parse_where_no_chain_finds_a_codeword(fl, ones):
         assert _parse_payload(_from01(s), fl, chunk_codewords) == starts_by_codeword(s, fl)
 
 
+def test_fixed_width_payloads_are_parsed_without_a_single_walk(monkeypatch):
+    # every chunk start is a codeword start, so every chain is the parse and
+    # no walk one codeword at a time is needed, in chunk 0 or any other
+    walk = grammar._walk_from
+    walks = []
+
+    def counted(*args):
+        walks.append(args[2])  # the position the walk starts from
+        return walk(*args)
+
+    monkeypatch.setattr(grammar, "_walk_from", counted)
+    for m in (2, 3, 256):
+        code = SymbolCode(m)
+        fl = code.fixed_len
+        # bare terminal grammars, from payloads that 128-codeword chunks
+        # would hold in one to payloads of over a hundred such chunks
+        for n in (1, 5, 100, 1000, 20_000):
+            g = DictionaryGrammar.from_arrays(m, np.arange(n) % m + 1, [0, n])
+            assert decode_grammar(code, encode_grammar(code, g)) == g
+        for count in (1, 2, 3, 129, 20_000):
+            s = "0" * (count * fl)
+            for chunk_codewords in (grammar._CHUNK_CODEWORDS, 3):
+                assert _parse_payload(_from01(s), fl, chunk_codewords) == starts_by_codeword(s, fl)
+    assert walks == []
+
+
+@pytest.mark.parametrize("fl", [3, 8])
+@pytest.mark.parametrize("s", ["11", "1" * 9, "11" + "0" * 5000, "1" * 5000, "110" * 3000])
+def test_parse_stops_at_bit_0_without_a_codeword_there(fl, s):
+    for chunk_codewords in (grammar._CHUNK_CODEWORDS, 3):
+        assert _parse_payload(_from01(s), fl, chunk_codewords) == ([0], len(s) + 1)
+
+
 def test_decodes_at_one_fixed_width_reuse_one_step_table():
     # m = 3 and m = 4 both have 4-bit fixed codewords
     grammar._step_tables.cache_clear()

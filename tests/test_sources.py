@@ -7,7 +7,7 @@ import pytest
 
 from minblock import gen_bernoulli, gen_markov, ingest_corpus, permute_characters
 from minblock.analysis import block_entropy
-from minblock.sources import SourceSpec, alphabet_size, map_bytes_to_symbols, realize
+from minblock.sources import SourceSpec, map_bytes_to_symbols, realize
 
 
 def test_bernoulli_degenerate():
@@ -53,6 +53,8 @@ def test_markov_rows_and_determinism():
     # identity transitions freeze the chain in its initial state
     frozen = gen_markov([[1.0, 0.0], [0.0, 1.0]], 100, seed=4)
     assert len(set(frozen.tolist())) == 1
+    empty = gen_markov(table, 0, seed=3)
+    assert empty.size == 0 and empty.dtype == np.uint8
     with pytest.raises(ValueError):
         gen_markov([[0.5, 0.5]], 10, seed=0)
 
@@ -148,8 +150,8 @@ def test_permutation_raises_bigram_entropy_of_structured_text(corpus_symbols):
 
 def test_source_spec_realize():
     spec = SourceSpec(kind="bernoulli", probs=(0.5, 0.5), seed=3, label="b")
-    stream = realize(spec, 100)
-    assert stream.size == 100 and alphabet_size(spec, stream) == 2
+    stream, m = realize(spec, 100)
+    assert stream.size == 100 and m == 2
     with pytest.raises(ValueError):
         SourceSpec(kind="nope")
     with pytest.raises(ValueError):

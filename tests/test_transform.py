@@ -126,6 +126,8 @@ def test_transform_alphabet_violation():
         minimal_block_transform(code, [0, 1])
     with pytest.raises(ValueError, match="symbols must be integers"):
         minimal_block_transform(code, b"\x01\x02")
+    with pytest.raises(ValueError, match="input must be one dimensional"):
+        minimal_block_transform(code, [[1, 2], [2, 1]])
 
 
 def test_code_bits_matches_materialized_grammar():
@@ -564,6 +566,54 @@ def test_long_repeats_take_near_linear_time(kind, n, want):
     assert _stats(r) == want
 
 
+def _family(kind, n):
+    """n symbols over {1, 2} of an input family: a random string, a constant
+    run, a random piece of period q tiled, the Thue-Morse word or the
+    Fibonacci word (each prefix the concatenation of the two before)."""
+    if kind == "random":
+        return np.random.Generator(np.random.Philox(11)).integers(1, 3, n)
+    if kind == "constant":
+        return np.ones(n, np.int64)
+    if kind.startswith("tiled"):
+        q = int(kind.removeprefix("tiled"))
+        return np.resize(np.random.Generator(np.random.Philox(q)).integers(1, 3, q), n)
+    if kind == "thue-morse":
+        return np.array([i.bit_count() % 2 + 1 for i in range(n)])
+    shorter, longer = [1], [1, 2]
+    while len(longer) < n:
+        shorter, longer = longer, longer + shorter
+    return np.array(longer[:n])
+
+
+@pytest.mark.parametrize(
+    "kind, n, want",
+    [
+        # (code_bits, block_len, shift, num_rules), pinned as the search gave
+        # them.  The Fibonacci word and tiled571 at 2**14 are left out: they
+        # take about 4 s and 1.2 s, since nearly every phase of them is
+        # counted; they join once the search bounds them.
+        ("random", 1 << 12, (8215, 5, 0, 33)),
+        ("constant", 1 << 12, (393, 64, 0, 2)),
+        ("tiled37", 1 << 12, (474, 74, 0, 2)),
+        ("tiled571", 1 << 12, (2040, 571, 0, 2)),
+        ("thue-morse", 1 << 12, (684, 64, 0, 3)),
+        ("fibonacci", 1 << 12, (2674, 29, 4, 18)),
+        ("random", 1 << 14, (30179, 7, 6, 129)),
+        ("constant", 1 << 14, (777, 128, 0, 2)),
+        ("tiled37", 1 << 14, (984, 74, 0, 2)),
+        ("thue-morse", 1 << 14, (1356, 128, 0, 3)),
+    ],
+)
+def test_input_families(kind, n, want):
+    # periodic and Sturmian inputs next to a random one: the result of each,
+    # and a round trip through the frame, which parses their payloads of
+    # repeated references
+    u = _family(kind, n)
+    assert _stats(minimal_block_transform(SymbolCode(2), u)) == want
+    back, m = decompress(compress(u, 2))
+    assert m == 2 and np.array_equal(back, u)
+
+
 def test_grammar_is_built_on_first_read():
     rng = np.random.Generator(np.random.Philox(29))
     code = SymbolCode(3)
@@ -823,10 +873,12 @@ def test_decompress_limits_a_grammar_of_empty_citations():
     # three levels of 1000 citations of an empty rule: not a block grammar,
     # so it is refused with or without a length limit
     g = DictionaryGrammar(2, ((), (3,) * 1000, (4,) * 1000, (5,) * 1000, (6, 1)))
-    frame = pack_frame(2, encode_grammar(SymbolCode(2), g))
+    bits = encode_grammar(SymbolCode(2), g)
+    with pytest.raises(CorruptionError):
+        decompress(pack_frame(2, bits))
     for max_len in (1, None):
         with pytest.raises(CorruptionError):
-            decompress(frame, max_len=max_len)
+            decode(SymbolCode(2), bits, max_len=max_len)
 
 
 def test_shift_and_runs_are_consistent():
