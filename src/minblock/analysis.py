@@ -24,7 +24,10 @@ def pointwise_mi(code: SymbolCode, u, v) -> int:
     outside 1..m, or of non-integers, raises its ``ValueError``.
 
     One suffix index of the concatenation serves all three code lengths: the
-    search reads each part as a range of it.
+    search reads each part as a range of it.  Calls at cuts of one string
+    share that index and the search of the whole: the last concatenation is
+    held with both, about 17 bytes a symbol, until a call with another
+    string or alphabet replaces it.
     """
     return _mi_and_joint(code, u, v)[0]
 

@@ -51,6 +51,7 @@ class SymbolCode:
 
 def symbol_length(code: SymbolCode, n: int) -> int:
     """Bit length of the codeword of ``n`` without materializing it."""
+    n = operator.index(n)
     if n < -1:
         raise ValueError(f"symbol {n} out of domain")
     if n <= code.m:
@@ -63,6 +64,7 @@ def rank_length(j: int) -> int:
 
     Equals ``symbol_length(code, m + j)`` for any alphabet size.
     """
+    j = operator.index(j)
     if j < 1:
         raise ValueError("offset must be >= 1")
     t = j.bit_length() - 1
@@ -133,6 +135,7 @@ def _rank_length_table(jmax: int) -> np.ndarray:
 
 def encode_symbol(code: SymbolCode, n: int, out: BitString | None = None) -> BitString:
     """Append the codeword of ``n`` to ``out`` (a fresh BitString if omitted)."""
+    n = operator.index(n)
     if out is None:
         out = BitString()
     if n < -1:

@@ -56,7 +56,10 @@ with its ranks and LCP, and only when its grammar is first read gathers the
 class IDs of the winning parse's blocks and builds the grammar from them.
 
 The sweep can search any range x[lo:hi] of the indexed string x, so one
-index of u + v prices u, v and u + v for the pointwise mutual information.
+index of u + v prices u, v and u + v for the pointwise mutual information,
+and does so across calls: the index and the search of the last u + v are
+held, so a call at another cut of the same string searches only its two
+ranges (:func:`_split_transforms`).
 The suffixes of a range keep their order among those of x, and the LCP of
 two of them is the least LCP of x between their places (:func:`_range_index`,
 built once per search).  That is the range's own index when the range runs
@@ -731,21 +734,46 @@ def _transform(code: SymbolCode, arr: np.ndarray, index: _SuffixIndex) -> Transf
     The result keeps ``arr`` and the index's ranks and LCP until its grammar
     is built.
     """
-    best, parse = _sweep(code, index, 0, arr.size)
+    return _result(code, arr, index, *_sweep(code, index, 0, arr.size))
+
+
+def _result(code: SymbolCode, arr: np.ndarray, index: _SuffixIndex, best: int,
+            parse) -> TransformResult:
+    """A new result for the :func:`_sweep` of all of ``arr``."""
     k, l, distinct = parse or (0, 0, 0)
     return TransformResult(code_bits=best, num_rules=distinct + 1, block_len=k, shift=l,
                            m=code.m, _source=(arr, index.rank, index.lcp))
 
 
+# (m, x, index, best, parse) of the last concatenation _split_transforms
+# searched, its arrays read-only; replaced whole, so concurrent calls read
+# one entry or the other
+_last_joint = None
+
+
 def _split_transforms(code: SymbolCode, x: np.ndarray, cut: int) -> tuple[int, int, TransformResult]:
     """Code lengths of ``x[:cut]`` and ``x[cut:]``, and the transform of ``x``.
 
-    One suffix index of ``x`` serves all three searches; the result keeps
-    ``x`` and its ranks and LCP until its grammar is built.
+    One suffix index of ``x`` serves all three searches.  ``x`` must be
+    private to the call: it is held, with its index and the search of all
+    of it, until a call with another concatenation or alphabet replaces
+    them, so that calls at other cuts of the same ``x`` only search the two
+    ranges.  That is about 17 bytes a symbol: ``x``, the ranks, the LCP and
+    the packed words.  Each call returns a new result, which keeps ``x`` and
+    its ranks and LCP until its grammar is built.
     """
-    index = _suffix_index(x)
+    global _last_joint
+    held = _last_joint
+    if held is not None and held[0] == code.m and np.array_equal(held[1], x):
+        _, x, index, best, parse = held
+    else:
+        index = _suffix_index(x)
+        best, parse = _sweep(code, index, 0, x.size)
+        for a in (x, index.rank, index.lcp, index.words):
+            a.setflags(write=False)  # shared by later calls: a write raises
+        _last_joint = (code.m, x, index, best, parse)
     bu, bv = (_sweep(code, index, lo, hi)[0] for lo, hi in ((0, cut), (cut, x.size)))
-    return bu, bv, _transform(code, x, index)
+    return bu, bv, _result(code, x, index, best, parse)
 
 
 def encode(code: SymbolCode, u) -> BitString:

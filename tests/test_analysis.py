@@ -52,14 +52,28 @@ def test_mi_bound_values():
 
 
 def test_mi_bound_holds_on_random_splits():
-    # the concatenation must be long enough that its grammar has rules
+    # the concatenation must be long enough that its grammar has rules.  Runs
+    # of cuts of a second string come between those of the first, so most
+    # calls reuse the index and search held from the call before, and the
+    # first of each run builds them anew; cut 0 and cut n are among the
+    # cuts.  Each J is the difference of three transforms of its own
     rng = np.random.Generator(np.random.Philox(31))
+    other = np.random.Generator(np.random.Philox(32))
     code = SymbolCode(2)
     s = (rng.random(8192) < 0.5).astype(np.uint8) + 1
-    bound = mi_bound(minimal_block_transform(code, s))
-    for _ in range(25):
-        cut = int(rng.integers(1, s.size))
-        assert pointwise_mi(code, s[:cut], s[cut:]) <= bound
+    t = (other.random(4096) < 0.2).astype(np.uint8) + 1
+    splits = []
+    for i in range(25):
+        splits.append((s, int(rng.integers(1, s.size))))
+        if i % 5 == 4:
+            splits.append((s, (0, s.size)[i % 2]))
+            splits += [(t, cut) for cut in (0, *other.integers(1, t.size, 3).tolist(), t.size)]
+    whole = {id(x): minimal_block_transform(code, x) for x in (s, t)}
+    for x, cut in splits:
+        j = pointwise_mi(code, x[:cut], x[cut:])
+        parts = (minimal_block_transform(code, p).code_bits for p in (x[:cut], x[cut:]))
+        assert j == sum(parts) - whole[id(x)].code_bits
+        assert j <= mi_bound(whole[id(x)])
 
 
 @pytest.mark.parametrize(

@@ -162,6 +162,16 @@ def test_domain_errors():
         SymbolCode(2.5)
     assert SymbolCode(np.int64(3)) == SymbolCode(3)
     assert type(SymbolCode(np.uint8(3)).m) is int
+    # offsets and symbols too take any integer, numpy's included, and
+    # refuse a float
+    code = SymbolCode(3)
+    assert rank_length(np.int64(5)) == rank_length(5) == 7
+    assert symbol_length(code, np.int64(9)) == symbol_length(code, 9)
+    assert encode_symbol(code, np.int64(9)) == encode_symbol(code, 9)
+    for call in (lambda: rank_length(5.0), lambda: symbol_length(code, 9.0),
+                 lambda: encode_symbol(code, 9.0)):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_rank_length_sum_is_the_running_sum():

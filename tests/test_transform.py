@@ -2,9 +2,11 @@
 
 import gc
 import hashlib
+import sys
 import time
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -672,6 +674,88 @@ def test_only_a_grammar_read_gathers_the_class_ids(monkeypatch):
     bits = [minimal_block_transform(code, x).code_bits for x in (u, v, joint)]
     assert pointwise_mi(code, u, v) == bits[0] + bits[1] - bits[2]
     assert calls == [r.block_len]
+
+
+def _own_mi(code, u, v):
+    """J of u and v from three transforms of their own."""
+    parts = (u, v, np.concatenate([u, v]))
+    bu, bv, bx = (minimal_block_transform(code, s).code_bits for s in parts)
+    return bu + bv - bx
+
+
+def test_cuts_of_one_string_index_it_once(monkeypatch):
+    # pointwise_mi holds the last concatenation's index and search, so the
+    # cuts of one string build one index between them, and each change to
+    # another string builds one more
+    built = []
+
+    def counted(arr):
+        built.append(arr.size)
+        return _suffix_index(arr)
+
+    monkeypatch.setattr(transform, "_last_joint", None)
+    monkeypatch.setattr(transform, "_suffix_index", counted)
+    code = SymbolCode(2)
+    a, b = (gen_bernoulli((0.5, 0.5), 2048, seed) for seed in (3, 4))
+    for cut in (1, 500, 1024, 1500, 2047):
+        pointwise_mi(code, a[:cut], a[cut:])
+    assert built == [2048]
+    for cut in (700, 0):
+        pointwise_mi(code, b[:cut], b[cut:])
+    assert built == [2048] * 2
+    for cut in (9, 2048):
+        pointwise_mi(code, a[:cut], a[cut:])
+    assert built == [2048] * 3
+
+
+def test_a_held_joint_search_gives_each_call_its_own_j(monkeypatch):
+    # J equals three transforms of its own, whatever the call before it
+    # held: one string under two alphabets, whose codewords differ in width,
+    # and a caller's part changed in place between two calls.  Cuts of two
+    # strings in turn are test_mi_bound_holds_on_random_splits'
+    monkeypatch.setattr(transform, "_last_joint", None)
+    code = SymbolCode(2)
+    a = gen_bernoulli((0.5, 0.5), 3000, 5)
+    u, v = a[:1200].copy(), a[1200:]
+    js = []
+    for c in (SymbolCode(2), SymbolCode(3)):
+        assert c.fixed_len == len(js) + 3
+        js.append(pointwise_mi(c, u, v))
+        assert js[-1] == _own_mi(c, u, v)
+    assert js[0] != js[1]
+
+    assert pointwise_mi(code, u, v) == js[0]
+    u[::7] = 3 - u[::7]
+    assert pointwise_mi(code, u, v) == _own_mi(code, u, v) != js[0]
+
+    # the held arrays refuse a write rather than change every later J
+    _, x, index, _, _ = transform._last_joint
+    for arr in (x, index.rank, index.lcp, index.words):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        index.lcp[1] = 0
+
+
+def test_threads_take_j_at_cuts_of_two_strings_at_once():
+    # more threads than cores, switching often, each replacing the held
+    # joint search that another one is reading
+    code = SymbolCode(2)
+    pieces = [gen_bernoulli((0.5, 0.5), 2048, 6), np.resize(np.array([2, 1, 1, 2]), 2048)]
+    cuts = (1, 300, 0, 1024, 2048, 2047)
+    want = [[_own_mi(code, x[:c], x[c:]) for c in cuts] for x in pieces]
+
+    def profile(x):
+        return [pointwise_mi(code, x[:c], x[c:]) for c in cuts * 4]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(profile, x) for x in pieces * 2]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [w * 4 for w in want * 2]
 
 
 def test_codec_never_builds_the_rule_tuples(monkeypatch, corpus_symbols):
