@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .codes import SymbolCode
+from .grammar import _symbol_sequence
 from .transform import TransformResult, _as_symbols, _split_transforms
 # looked up here by the traced benchmark run (TRACED in perfbench/workloads.py)
 from .transform import minimal_block_transform  # noqa: F401
@@ -87,8 +88,10 @@ def _block_counts(x, k: int, overlapping: bool) -> tuple[np.ndarray, np.ndarray]
     """Distinct k-blocks of ``x``, one per row in ascending order, and their counts.
 
     The blocks are the overlapping windows, or the disjoint parse at phase 0.
+    ``x`` takes the transform's input form: a one-dimensional integer array
+    or a list of ints.
     """
-    arr = np.asarray(x)
+    arr = _symbol_sequence(x)
     n = arr.size
     if not 1 <= k <= n:
         raise ValueError(f"block length must lie in 1..{n}")

@@ -82,21 +82,24 @@ class BitString:
 
     @classmethod
     def from01(cls, s: str) -> "BitString":
-        bs = cls()
-        for ch in s:
-            if ch in "01":
-                bs.append_bits(int(ch), 1)
-            elif not ch.isspace():
-                raise ValueError(f"not a bit: {ch!r}")
-        return bs
+        """The bits written as ``0`` and ``1`` in ``s``, whitespace skipped.
 
+        Parsed in one step, as one integer.  The first other character
+        raises ValueError.
+        """
+        digits = "".join(s.split())
+        other = digits.translate({ord("0"): None, ord("1"): None})
+        if other:
+            raise ValueError(f"not a bit: {other[0]!r}")
+        n = len(digits)
+        value = int(digits, 2) << (-n % 8) if n else 0
+        return cls.from_bytes(value.to_bytes((n + 7) // 8, "big"), n)
+
+    # equal by content, so unhashable (__hash__ is None): a BitString grows
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitString):
             return NotImplemented
         return len(self) == len(other) and self.to_bytes() == other.to_bytes()
-
-    def __hash__(self) -> int:
-        return hash((len(self), self.to_bytes()))
 
     def __repr__(self) -> str:
         shown = self.to01()

@@ -63,6 +63,24 @@ def symbol_dtype(m: int):
     raise ValueError(f"alphabet size {m} is above 2**32 - 1")
 
 
+def _symbol_sequence(u) -> np.ndarray:
+    """``u`` as a one-dimensional integer array, not converted further.
+
+    This is the one input form of every function that reads a symbol
+    sequence: a one-dimensional integer array, or a list of ints.  An empty
+    sequence of no integer type is an empty uint8 array.  Raises ValueError
+    on anything else, such as floats or a two-dimensional array.
+    """
+    arr = np.asarray(u)
+    if arr.dtype.kind not in "iu":
+        if arr.size:
+            raise ValueError("symbols must be integers")
+        arr = np.zeros(0, dtype=np.uint8)
+    if arr.ndim != 1:
+        raise ValueError("input must be one dimensional")
+    return arr
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class DictionaryGrammar:
     """Rule table; rule i defines symbol m+i, the last rule is primary.
@@ -408,8 +426,10 @@ def _parse(words: np.ndarray, data: bytes, nbits: int, fl: int) -> tuple[np.ndar
     are wrong, and the parse goes on one codeword at a time until it leaves
     a chunk at that chunk's exit.  The parse stops at the first place where
     no codeword can start: where a walk stops, or where a chain that the
-    parse met slides.  The secondary rules of a block grammar are fixed
-    width and start at bit 0, so there every chain is the parse.
+    parse met slides.  Once chain 0 slides, the lockstep ends: the parse
+    stops there, whatever the other chains do.  The secondary rules of a
+    block grammar are fixed width and start at bit 0, so there every chain
+    is the parse.
     """
     table, steps, slide = _step_tables(fl)
     size = min(_CHUNK_CODEWORDS, max(1, isqrt(nbits // fl))) * fl
@@ -432,6 +452,8 @@ def _parse(words: np.ndarray, data: bytes, nbits: int, fl: int) -> tuple[np.ndar
         rows.append(step)
         slid = np.where(step == 1, exit_, slid)
         exit_ = exit_ + step
+        if step[0] == 1:  # chain 0, the parse, slid: the parse stops there
+            break
     # each chain's codeword starts, chunk after chunk, so ascending; a slice
     # of chains at a time, so that only the rows take a byte per step
     counts = np.zeros(n, np.int64)

@@ -12,23 +12,18 @@ import itertools
 import logging
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
-
-import numpy as np
 
 from .bits import BitString
 from .codes import SymbolCode, encode_symbol
-from .grammar import DictionaryGrammar
+from .grammar import DictionaryGrammar, _symbol_sequence
 
 log = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class EnumerationBudget:
-    """Caps keeping exhaustive enumeration tractable."""
-
-    max_n: int = 10
-    max_distinct: int = 6  # identifier assignments enumerated: max_distinct!
+# caps keeping the exhaustive enumeration tractable: the string length, and
+# the distinct blocks of a parse, whose MAX_DISTINCT! identifier assignments
+# are enumerated
+MAX_N = 10
+MAX_DISTINCT = 6
 
 
 def encode_by_codeword(code: SymbolCode, g: DictionaryGrammar) -> BitString:
@@ -64,20 +59,20 @@ def _assignment_rules(m: int, head, blocks, occ_index, tail, perm) -> tuple:
     return tuple(rules) + (primary,)
 
 
-def brute_force_min_block(code: SymbolCode, u, budget: EnumerationBudget | None = None) -> int:
+def brute_force_min_block(code: SymbolCode, u) -> int:
     """True minimum emission size over every block grammar producing ``u``.
 
     Enumerates every block length, phase, and identifier permutation, plus
     the bare terminal grammar, and scores each candidate by materializing
     its bits codeword by codeword, as :func:`encode_by_codeword` does
-    (deliberately not reusing any closed form from the fast path).
+    (deliberately not reusing any closed form from the fast path).  ``u``
+    takes the transform's input form, of at most ``MAX_N`` symbols, and no
+    parse may have more than ``MAX_DISTINCT`` distinct blocks.
     """
-    if budget is None:
-        budget = EnumerationBudget()
-    u = [int(x) for x in np.asarray(u).ravel()] if not isinstance(u, list) else [int(x) for x in u]
+    u = _symbol_sequence(u).tolist()
     n = len(u)
-    if n > budget.max_n:
-        raise ValueError(f"string length {n} exceeds the enumeration budget {budget.max_n}")
+    if n > MAX_N:
+        raise ValueError(f"string length {n} exceeds the enumeration budget {MAX_N}")
     m = code.m
 
     best = len(encode_by_codeword(code, DictionaryGrammar(m, (tuple(u),))))
@@ -88,10 +83,10 @@ def brute_force_min_block(code: SymbolCode, u, budget: EnumerationBudget | None 
             tail = u[l + p * k :]
             parsed = [tuple(u[l + i * k : l + (i + 1) * k]) for i in range(p)]
             blocks = sorted(set(parsed))
-            if len(blocks) > budget.max_distinct:
+            if len(blocks) > MAX_DISTINCT:
                 raise ValueError(
                     f"{len(blocks)} distinct blocks exceed the enumeration "
-                    f"budget {budget.max_distinct}"
+                    f"budget {MAX_DISTINCT}"
                 )
             occ_index = [blocks.index(b) for b in parsed]
             for perm in itertools.permutations(range(len(blocks))):
@@ -110,10 +105,11 @@ def universality_bound(code: SymbolCode, x, k: int, pi: Mapping) -> float:
         C(n, k) = C(k) + (n/k) * (2*log2(k*log2 m) + 5)
 
     A block of ``x`` with zero probability makes the bound vacuous (+inf).
+    ``x`` takes the transform's input form.
     """
     if k < 1:
         raise ValueError("block length must be >= 1")
-    x = [int(s) for s in np.asarray(x).ravel()]
+    x = _symbol_sequence(x).tolist()
     n = len(x)
     if k > n:
         raise ValueError("block length exceeds the string")

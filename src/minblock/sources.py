@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grammar import symbol_dtype
+from .grammar import _symbol_sequence, symbol_dtype
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -129,9 +129,10 @@ def ingest_corpus(path) -> tuple[np.ndarray, list[int]]:
 def permute_characters(u, seed: int) -> np.ndarray:
     """Uniform random shuffle of the symbols of ``u`` (Fisher-Yates, seeded).
 
-    Preserves the multiset of symbols exactly.
+    Preserves the multiset of symbols exactly.  ``u`` takes the transform's
+    input form: a one-dimensional integer array or a list of ints.
     """
-    arr = np.asarray(u)
+    arr = _symbol_sequence(u)
     if not arr.size:  # permutation refuses an empty read-only array
         return arr.copy()
     return _rng(seed).permutation(arr)

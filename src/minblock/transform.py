@@ -83,11 +83,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import bits
 from .bits import BitString, CorruptionError, _check_frame_alphabet
 from .codes import SymbolCode, _rank_length_sum, _rank_length_table, rank_length
 from .grammar import (
     BlockGrammar,
     DictionaryGrammar,
+    _symbol_sequence,
     decode_grammar,
     encode_grammar,
     expand,
@@ -201,16 +203,11 @@ def block_cost(code: SymbolCode, table: RankedBlockTable, k: int, l: int, tail: 
 def _as_symbols(u, m: int) -> np.ndarray:
     """``u`` as a one-dimensional array of terminals 1..m in ``symbol_dtype(m)``.
 
-    The range is checked in the input's own integer type, so the only
-    conversion is the final one, and none when ``u`` already has that type.
+    The form is checked by :func:`_symbol_sequence`, and the range in the
+    input's own integer type, so the only conversion is the final one, and
+    none when ``u`` already has that type.
     """
-    arr = np.asarray(u)
-    if arr.size == 0:
-        arr = np.zeros(0, dtype=np.uint8)
-    if arr.dtype.kind not in "iu":
-        raise ValueError("symbols must be integers")
-    if arr.ndim != 1:
-        raise ValueError("input must be one dimensional")
+    arr = _symbol_sequence(u)
     if arr.size and (int(arr.min()) < 1 or int(arr.max()) > m):
         raise ValueError(f"symbols must lie in 1..{m}")
     return arr.astype(symbol_dtype(m), copy=False)
@@ -725,16 +722,10 @@ def minimal_block_transform(code: SymbolCode, u) -> TransformResult:
     a tie with the terminal grammar keeps the terminal grammar.
     """
     arr = _as_symbols(u, code.m)
-    return _transform(code, arr.copy(), _suffix_index(arr))
-
-
-def _transform(code: SymbolCode, arr: np.ndarray, index: _SuffixIndex) -> TransformResult:
-    """:func:`minimal_block_transform` of ``arr``, from its suffix index.
-
-    The result keeps ``arr`` and the index's ranks and LCP until its grammar
-    is built.
-    """
-    return _result(code, arr, index, *_sweep(code, index, 0, arr.size))
+    index = _suffix_index(arr)
+    # the result keeps a copy of the input, and the ranks and LCP, until its
+    # grammar is built
+    return _result(code, arr.copy(), index, *_sweep(code, index, 0, arr.size))
 
 
 def _result(code: SymbolCode, arr: np.ndarray, index: _SuffixIndex, best: int,
@@ -798,19 +789,14 @@ def decode(code: SymbolCode, bits: BitString, *, max_len: int | None = None) -> 
 
 def compress(u, m: int) -> bytes:
     """Frame-wrapped :func:`encode` for an alphabet of ``m`` symbols."""
-    # imported at call time: the traced benchmark run patches bits.pack_frame
-    # (TRACED in perfbench/workloads.py), which a top-level import would skip
-    from .bits import pack_frame
-
     code = SymbolCode(m)
     _check_frame_alphabet(code.m)  # before the search, which would be wasted
-    return pack_frame(code.m, encode(code, u))
+    # read from the module at call time, as the traced benchmark run patches
+    # it (TRACED in perfbench/workloads.py); so is bits.unpack_frame below
+    return bits.pack_frame(code.m, encode(code, u))
 
 
 def decompress(data: bytes) -> tuple[np.ndarray, int]:
     """Inverse of :func:`compress`; returns (symbols, alphabet size)."""
-    # imported at call time for the traced run's patch, as in compress
-    from .bits import unpack_frame
-
-    m, bits = unpack_frame(data)
-    return decode(SymbolCode(m), bits), m
+    m, payload = bits.unpack_frame(data)
+    return decode(SymbolCode(m), payload), m

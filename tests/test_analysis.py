@@ -16,8 +16,10 @@ from minblock import (
     mi_bound,
     minimal_block_transform,
     pointwise_mi,
+    permute_characters,
     zipf_check,
 )
+from minblock.oracle import brute_force_min_block, universality_bound
 
 
 def test_pointwise_mi_of_empty_prefix():
@@ -91,6 +93,35 @@ def test_pointwise_mi_rejects_what_the_transform_rejects(bad):
     for u, v in ((bad, [1, 2]), ([1, 2], bad)):
         with pytest.raises(ValueError, match=re.escape(str(rejected.value))):
             pointwise_mi(code, u, v)
+
+
+_SYMBOL_READERS = {
+    "block_entropy": lambda x: block_entropy(x, 3),
+    "disjoint_block_entropy": lambda x: block_entropy(x, 3, overlapping=False),
+    "empirical_block_distribution": lambda x: empirical_block_distribution(
+        x, 3, overlapping=False),
+    "permute_characters": lambda x: permute_characters(x, 1),
+    "brute_force_min_block": lambda x: brute_force_min_block(SymbolCode(2), x),
+    "universality_bound": lambda x: universality_bound(
+        SymbolCode(2), x, 1, {(1,): 0.5, (2,): 0.5}),
+}
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        # once read across its rows, in blocks that span them, or as rows to
+        # shuffle, or a numpy error about the window shape
+        np.array([[1, 2], [1, 2], [2, 1]]),
+        np.array([1.0, 2.0, 1.0, 2.0]),  # once counted or shuffled as floats
+    ],
+)
+@pytest.mark.parametrize("read", list(_SYMBOL_READERS.values()), ids=list(_SYMBOL_READERS))
+def test_symbol_readers_refuse_what_the_transform_refuses(read, bad):
+    with pytest.raises(ValueError) as rejected:
+        minimal_block_transform(SymbolCode(2), bad)
+    with pytest.raises(ValueError, match=re.escape(str(rejected.value))):
+        read(bad)
 
 
 def test_hilberg_exact_power_laws():

@@ -34,6 +34,23 @@ def test_append_wide_value():
 def test_from01_and_equality():
     assert BitString.from01("1010 110") == BitString.from01("1010110")
     assert BitString.from01("101") != BitString.from01("1010")
+    # any whitespace is skipped, and a string that is all whitespace is empty
+    assert BitString.from01("\t1 0\n1101 01\n").to01() == "10110101"
+    assert len(BitString.from01(" \n")) == 0
+
+
+def test_bitstring_domain_errors_hash_and_repr():
+    with pytest.raises(ValueError, match="value 4 does not fit in 2 bits"):
+        BitString().append_bits(4, 2)
+    with pytest.raises(ValueError, match="not a bit: 'x'"):
+        BitString.from01("10 x1")
+    assert BitString.from01("1") != "1"
+    # equal by content while it grows: no hash, which a later append would
+    # leave stale in a set
+    with pytest.raises(TypeError):
+        hash(BitString())
+    assert repr(BitString.from01("101")) == "BitString(3 bits: 101)"
+    assert repr(BitString.from01("10" * 40)) == f"BitString(80 bits: {'10' * 30}1...)"
 
 
 def test_reader_reads_across_bytes():

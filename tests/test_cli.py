@@ -474,6 +474,15 @@ def test_concurrent_transforms_stay_within_the_budget(monkeypatch):
     assert max(loads) > max(ns)  # some transforms did run at once
 
 
+def test_cpu_count_without_an_affinity_call(monkeypatch):
+    # os.sched_getaffinity is not on every platform
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._cpu_count() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli._cpu_count() == 3
+
+
 def test_one_cpu_runs_the_largest_first_one_at_a_time(monkeypatch):
     monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
     calls = _record_calls(monkeypatch)

@@ -158,6 +158,8 @@ def test_domain_errors():
         encode_symbol(code, -2)
     with pytest.raises(ValueError):
         SymbolCode(1)
+    with pytest.raises(ValueError):
+        rank_length(0)
     with pytest.raises(TypeError):  # once silently m = 2
         SymbolCode(2.5)
     assert SymbolCode(np.int64(3)) == SymbolCode(3)

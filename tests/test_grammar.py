@@ -144,6 +144,12 @@ def test_invariant_validation():
     with pytest.raises(TypeError):
         DictionaryGrammar.from_arrays(2.5, [1, 2], [0, 2])
     assert DictionaryGrammar(np.int64(2), ((1, 2),)).m == 2
+    with pytest.raises(ValueError, match="above 2"):
+        symbol_dtype(2**32)
+    g = DictionaryGrammar(2, ((1, 2),))
+    for emit in (encode_grammar, grammar_code_length):
+        with pytest.raises(ValueError, match="disagree on the alphabet size"):
+            emit(SymbolCode(3), g)
 
 
 def test_array_and_tuple_grammars_are_equal():
@@ -481,17 +487,11 @@ def _assert_damage_raises_as_codeword_loop(rng, code, g, kind, where, replace, n
             insert = ""
             words.append("".join(rng.choice(["0", "1"], int(rng.integers(1, 80)))))
         bits = "".join(words[:cut]) + insert + "".join(words[cut + replace :])
-    payload = _from01(bits)
+    payload = BitString.from01(bits)
     want = outcome(decode_by_codeword, code, payload)
     assert outcome(decode_grammar, code, payload) == want
     if kind in ("prefix", "last"):
         assert want is TruncationError
-
-
-def _from01(s: str) -> BitString:
-    """``BitString.from01`` of a long string, in one step."""
-    value = int(s, 2) << (-len(s) % 8) if s else 0
-    return BitString.from_bytes(value.to_bytes((len(s) + 7) // 8, "big"), len(s))
 
 
 @settings(max_examples=200, deadline=None)
@@ -607,7 +607,7 @@ def test_parse_matches_the_codeword_loop():
         # chunks as decode_grammar cuts them, and chunks of a few codewords,
         # where most walks cross chunks and many chains stop
         for chunk_codewords in (grammar._CHUNK_CODEWORDS, 3):
-            assert _parse_payload(_from01(s), fl, chunk_codewords) == want
+            assert _parse_payload(BitString.from01(s), fl, chunk_codewords) == want
 
 
 @pytest.mark.parametrize("fl", [3, 8])
@@ -616,7 +616,7 @@ def test_parse_where_no_chain_finds_a_codeword(fl, ones):
     # chunk 0 holds codewords, and every chain after it only slides
     s = "0" * (128 * fl) + "1" * ones
     for chunk_codewords in (grammar._CHUNK_CODEWORDS, 3):
-        assert _parse_payload(_from01(s), fl, chunk_codewords) == starts_by_codeword(s, fl)
+        assert _parse_payload(BitString.from01(s), fl, chunk_codewords) == starts_by_codeword(s, fl)
 
 
 def test_fixed_width_payloads_are_parsed_without_a_single_walk(monkeypatch):
@@ -641,7 +641,8 @@ def test_fixed_width_payloads_are_parsed_without_a_single_walk(monkeypatch):
         for count in (1, 2, 3, 129, 20_000):
             s = "0" * (count * fl)
             for chunk_codewords in (grammar._CHUNK_CODEWORDS, 3):
-                assert _parse_payload(_from01(s), fl, chunk_codewords) == starts_by_codeword(s, fl)
+                got = _parse_payload(BitString.from01(s), fl, chunk_codewords)
+                assert got == starts_by_codeword(s, fl)
     assert walks == []
 
 
@@ -649,7 +650,7 @@ def test_fixed_width_payloads_are_parsed_without_a_single_walk(monkeypatch):
 @pytest.mark.parametrize("s", ["11", "1" * 9, "11" + "0" * 5000, "1" * 5000, "110" * 3000])
 def test_parse_stops_at_bit_0_without_a_codeword_there(fl, s):
     for chunk_codewords in (grammar._CHUNK_CODEWORDS, 3):
-        assert _parse_payload(_from01(s), fl, chunk_codewords) == ([0], len(s) + 1)
+        assert _parse_payload(BitString.from01(s), fl, chunk_codewords) == ([0], len(s) + 1)
 
 
 def test_decodes_at_one_fixed_width_reuse_one_step_table():
@@ -719,6 +720,25 @@ def test_decode_memory_on_a_corrupt_tail():
     finally:
         tracemalloc.stop()
     assert peak < 2 * len(bits)
+
+
+@pytest.mark.parametrize("m", [3, 66])
+def test_a_payload_corrupt_from_bit_0_ends_the_lockstep(monkeypatch, m):
+    # 100 kB of 0xff: chain 0 slides at bit 0, so the parse stops there and
+    # the other chains need not walk on (1028 window reads at m = 66, and
+    # 516 at m = 3, when every chain slid through its chunk)
+    windows = grammar._windows
+    reads = []
+
+    def counted(words, pos):
+        reads.append(pos.size)
+        return windows(words, pos)
+
+    monkeypatch.setattr(grammar, "_windows", counted)
+    bits = BitString.from_bytes(b"\xff" * 100_000, 800_000)
+    with pytest.raises(CorruptionError, match="unassigned prefix 11"):
+        decode_grammar(SymbolCode(m), bits)
+    assert len(reads) <= 4
 
 
 def test_decode_of_the_wide_chain_takes_linear_time():

@@ -7,7 +7,7 @@ import pytest
 
 from minblock import SymbolCode, minimal_block_transform
 from minblock.analysis import empirical_block_distribution
-from minblock.oracle import EnumerationBudget, brute_force_min_block, universality_bound
+from minblock.oracle import MAX_DISTINCT, MAX_N, brute_force_min_block, universality_bound
 
 
 def test_oracle_fixtures():
@@ -18,13 +18,12 @@ def test_oracle_fixtures():
 
 
 def test_oracle_budget():
-    code = SymbolCode(2)
-    with pytest.raises(ValueError):
-        brute_force_min_block(code, [1] * 11)
-    with pytest.raises(ValueError):
-        brute_force_min_block(
-            code, [1, 2, 1, 1, 2, 2], EnumerationBudget(max_n=6, max_distinct=1)
-        )
+    assert (MAX_N, MAX_DISTINCT) == (10, 6)
+    with pytest.raises(ValueError, match="string length 11 exceeds"):
+        brute_force_min_block(SymbolCode(2), [1] * 11)
+    # 7 distinct 1-blocks
+    with pytest.raises(ValueError, match="7 distinct blocks exceed"):
+        brute_force_min_block(SymbolCode(8), [1, 2, 3, 4, 5, 6, 7])
 
 
 def test_oracle_agrees_on_random_samples():
@@ -64,6 +63,15 @@ def test_universality_bound_deterministic_string():
 def test_universality_bound_vacuous_on_zero_probability():
     code = SymbolCode(2)
     assert universality_bound(code, [1, 2, 1], 1, {(1,): 1.0}) == math.inf
+
+
+def test_universality_bound_domain_errors():
+    code = SymbolCode(2)
+    pi = {(1,): 0.5, (2,): 0.5}
+    with pytest.raises(ValueError, match="block length must be >= 1"):
+        universality_bound(code, [1, 2], 0, pi)
+    with pytest.raises(ValueError, match="block length exceeds the string"):
+        universality_bound(code, [1, 2], 3, pi)
 
 
 def test_universality_bound_respected_on_random_trials():

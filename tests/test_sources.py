@@ -33,6 +33,8 @@ def test_bernoulli_validation():
         gen_bernoulli([0.5, 0.6], 10, seed=0)
     with pytest.raises(ValueError):
         gen_bernoulli([0.5, 0.5], -1, seed=0)
+    with pytest.raises(ValueError, match="one dimensional"):
+        gen_bernoulli([[0.5, 0.5]], 10, seed=0)
 
 
 @pytest.mark.parametrize("probs", [[np.nan, np.nan], [0.5, np.nan], [np.nan, 1.0],
@@ -57,6 +59,8 @@ def test_markov_rows_and_determinism():
     assert empty.size == 0 and empty.dtype == np.uint8
     with pytest.raises(ValueError):
         gen_markov([[0.5, 0.5]], 10, seed=0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        gen_markov(table, -1, seed=0)
 
 
 def test_markov_stream_is_pinned():
@@ -156,3 +160,8 @@ def test_source_spec_realize():
         SourceSpec(kind="nope")
     with pytest.raises(ValueError):
         SourceSpec(kind="corpus")
+    with pytest.raises(ValueError, match="probability vector"):
+        SourceSpec(kind="bernoulli")
+    with pytest.raises(ValueError, match="transition table"):
+        SourceSpec(kind="markov")
+    assert SourceSpec(kind="bernoulli", probs=(1.0,)).label == "bernoulli"

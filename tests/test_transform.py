@@ -74,6 +74,13 @@ def test_ranked_table_validation():
         RankedBlockTable((((2,), 1), ((1,), 1)))  # tie out of value order
     with pytest.raises(ValueError):
         RankedBlockTable((((1,), 0),))
+    with pytest.raises(ValueError, match="distinct"):
+        RankedBlockTable((((1,), 2), ((1,), 1)))
+    with pytest.raises(ValueError, match="one length"):
+        RankedBlockTable((((1, 2), 2), ((1,), 1)))
+    for k, l in ((0, 0), (2, -1), (3, 2), (5, 0)):
+        with pytest.raises(ValueError, match="at least one full block"):
+            RankedBlockTable.from_parse([1, 2, 1, 2], k, l)
 
 
 def test_block_cost_fixtures():
@@ -92,6 +99,8 @@ def test_block_cost_preconditions():
         block_cost(code, table, 2, 2, 0)  # head run not shorter than k
     with pytest.raises(ValueError):
         block_cost(code, table, 3, 0, 0)  # table blocks are not 3-blocks
+    with pytest.raises(ValueError, match="invalid parse geometry"):
+        block_cost(code, table, 0, 0, 0)
 
 
 def test_cost_invariant_under_equal_count_reordering():
@@ -648,18 +657,18 @@ def test_only_a_grammar_read_gathers_the_class_ids(monkeypatch):
     # block by its packed word and never asks for the k-gram classes
     calls = []
     kept = []  # the input copy, ranks and LCP that each transform keeps
-    real_transform = transform._transform
+    real_result = transform._result
 
     def classes(lcp, k):
         calls.append(k)
         return _kgram_classes(lcp, k)
 
-    def watched(code, arr, index):
+    def watched(code, arr, index, *search):
         kept.extend(weakref.ref(a) for a in (arr, index.rank, index.lcp))
-        return real_transform(code, arr, index)
+        return real_result(code, arr, index, *search)
 
     monkeypatch.setattr(transform, "_kgram_classes", classes)
-    monkeypatch.setattr(transform, "_transform", watched)
+    monkeypatch.setattr(transform, "_result", watched)
     code = SymbolCode(2)
     u, v = (gen_bernoulli((0.5, 0.5), 4096, seed) for seed in (1, 2))
     joint = np.concatenate([u, v])
