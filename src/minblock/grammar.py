@@ -312,19 +312,17 @@ def _pack(values: np.ndarray, widths: np.ndarray) -> BitString:
     return BitString.from_bytes(out.astype(">u8").tobytes(), total)
 
 
-def encode_grammar(code: SymbolCode, g: DictionaryGrammar) -> BitString:
+def encode_grammar(g: DictionaryGrammar) -> BitString:
     """Emit the grammar: each rule's symbols then 0, and a final -1.
 
     The codewords are computed for the whole grammar at once: symbols up to
     m get ``fixed_len`` bits holding n + 1, and a symbol m + j gets ``10``
     followed by the Elias delta code of j, read from tables of the codeword
     and its length over j = 1..``num_rules``.  The result equals
-    ``encode_symbol`` applied symbol by symbol, bit for bit.  Raises
-    ValueError when ``code`` and ``g`` disagree on m.
+    ``encode_symbol`` under ``SymbolCode(g.m)`` applied symbol by symbol,
+    bit for bit.
     """
-    if code.m != g.m:
-        raise ValueError("code and grammar disagree on the alphabet size")
-    m = code.m
+    m = g.m
     syms = np.append(np.insert(g.symbols, g.offsets[1:], 0), -1)
     # m + j is 10, ell zeros, the ell + 1 bits of nbits and the nbits - 1 low
     # bits of j: a head that depends only on the length, plus j
@@ -333,21 +331,19 @@ def encode_grammar(code: SymbolCode, g: DictionaryGrammar) -> BitString:
     fixed = syms <= m
     ref = np.maximum(syms - (m + 1), 0)  # 0 for the fixed codewords
     values = np.where(fixed, (syms + 1).astype(np.uint64), ref_values[ref])
-    widths = np.where(fixed, np.uint8(code.fixed_len), ref_widths[ref])
+    widths = np.where(fixed, np.uint8(SymbolCode(m).fixed_len), ref_widths[ref])
     return _pack(values, widths)
 
 
-def grammar_code_length(code: SymbolCode, g: DictionaryGrammar) -> int:
+def grammar_code_length(g: DictionaryGrammar) -> int:
     """Exact bit length of :func:`encode_grammar` without building bits.
 
     Every terminal, separator and the terminator take ``fixed_len`` bits, and
     a rule reference m + j the ``rank_length(j)`` bits of its delta code.
     """
-    if code.m != g.m:
-        raise ValueError("code and grammar disagree on the alphabet size")
     refs = g.symbols[g.symbols > g.m] - g.m  # each below num_rules
     fixed = g.symbols.size - refs.size + g.num_rules + 1
-    return fixed * code.fixed_len + int(_rank_length_table(g.num_rules)[refs - 1].sum())
+    return fixed * SymbolCode(g.m).fixed_len + int(_rank_length_table(g.num_rules)[refs - 1].sum())
 
 
 # the most fixed-width codewords per chunk of the parse in decode_grammar
@@ -509,18 +505,10 @@ def _parse(words: np.ndarray, data: bytes, nbits: int, fl: int) -> tuple[np.ndar
         if slid[c] >= meet[c]:  # the parse follows the chain to the slide
             _walk_from(data, steps, int(meet[c]), int(hi[c]), later)
             meet[c], out[c] = hi[c], -1
-        if out[c] < 0:
-            skip[c + 1 :] = True
-            end = nbits + 1
-            break
-        if c == n - 1:
-            break
-        at, d = int(out[c]), c + 1
-        while True:
-            at, stopped = _walk_from(data, steps, at, int(hi[d]), later)
-            if stopped or d == n - 1 or at == exit_[d]:
-                break
+        at, d, stopped = int(out[c]), c, out[c] < 0
+        while not stopped and d < n - 1 and at != exit_[d]:
             d += 1
+            at, stopped = _walk_from(data, steps, at, int(hi[d]), later)
         skip[c + 1 : d + 1] = True
         ahead = d + 1
         if stopped:

@@ -26,12 +26,12 @@ MAX_N = 10
 MAX_DISTINCT = 6
 
 
-def encode_by_codeword(code: SymbolCode, g: DictionaryGrammar) -> BitString:
-    """Reference emitter: ``encode_symbol`` once per symbol.
+def encode_by_codeword(g: DictionaryGrammar) -> BitString:
+    """Reference emitter: ``encode_symbol`` under ``SymbolCode(g.m)`` once per symbol.
 
     Bit for bit what ``encode_grammar`` emits, one codeword at a time.
     """
-    return _encode_rules(code, g.rules)
+    return _encode_rules(SymbolCode(g.m), g.rules)
 
 
 def _encode_rules(code: SymbolCode, rules) -> BitString:
@@ -75,7 +75,7 @@ def brute_force_min_block(code: SymbolCode, u) -> int:
         raise ValueError(f"string length {n} exceeds the enumeration budget {MAX_N}")
     m = code.m
 
-    best = len(encode_by_codeword(code, DictionaryGrammar(m, (tuple(u),))))
+    best = len(encode_by_codeword(DictionaryGrammar(m, (tuple(u),))))
     for k in range(1, n + 1):
         for l in range(0, min(k, n - k + 1)):
             p = (n - l) // k

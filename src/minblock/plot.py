@@ -33,11 +33,11 @@ class Series:
 
 def render_loglog_svg(series: list[Series], title: str, xlabel: str, ylabel: str) -> str:
     """Render one log2-log2 chart; series with no positive values are skipped."""
-    pts = []
-    for s in series:
-        pts.extend(
-            (math.log2(n), math.log2(v)) for n, v in zip(s.ns, s.values) if v > 0
-        )
+    logs = [
+        [(math.log2(n), math.log2(v)) for n, v in zip(s.ns, s.values) if v > 0]
+        for s in series
+    ]
+    pts = [p for xy in logs for p in xy]
     if not pts:
         pts = [(0.0, 0.0), (1.0, 1.0)]
     x_lo = min(p[0] for p in pts)
@@ -107,11 +107,8 @@ def render_loglog_svg(series: list[Series], title: str, xlabel: str, ylabel: str
               f'transform="rotate(-90 18 {(_MT + _H - _MB) / 2:.1f})"', ylabel)
     )
 
-    for idx, s in enumerate(series):
+    for idx, (s, xy) in enumerate(zip(series, logs)):
         color = _PALETTE[idx % len(_PALETTE)]
-        xy = [
-            (math.log2(n), math.log2(v)) for n, v in zip(s.ns, s.values) if v > 0
-        ]
         for x, y in xy:
             out.append(
                 f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="3.5" fill="{color}" '

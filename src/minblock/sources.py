@@ -95,10 +95,7 @@ def gen_markov(transitions, n: int, seed: int) -> np.ndarray:
 
 def first_appearance_alphabet(data: bytes) -> list[int]:
     """Distinct byte values of ``data`` in order of first appearance."""
-    arr = np.frombuffer(data, dtype=np.uint8)
-    if arr.size == 0:
-        return []
-    values, first = np.unique(arr, return_index=True)
+    values, first = np.unique(np.frombuffer(data, dtype=np.uint8), return_index=True)
     return [int(v) for v in values[np.argsort(first)]]
 
 

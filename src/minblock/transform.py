@@ -129,9 +129,12 @@ class RankedBlockTable:
 
     @classmethod
     def from_parse(cls, u, k: int, l: int) -> "RankedBlockTable":
-        """Table for the parse of ``u`` at block length ``k`` and phase ``l``."""
+        """Table for the parse of ``u`` at block length ``k`` and phase ``l``.
+
+        ``u`` takes the transform's input form.
+        """
         # plain ints: numpy scalars are slow to slice into tuples and hash
-        u = u.tolist() if isinstance(u, np.ndarray) else list(u)
+        u = _symbol_sequence(u).tolist()
         if k < 1 or l < 0 or l + k > len(u):
             raise ValueError("parse needs at least one full block")
         p = (len(u) - l) // k
@@ -772,7 +775,7 @@ def encode(code: SymbolCode, u) -> BitString:
     # the result lets go of the copy of u, its ranks and LCP once it has built
     # the grammar, so none of them is held while the emission runs
     grammar = minimal_block_transform(code, u).dictionary
-    return encode_grammar(code, grammar)
+    return encode_grammar(grammar)
 
 
 def decode(code: SymbolCode, bits: BitString, *, max_len: int | None = None) -> np.ndarray:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minblock import (
+    RankedBlockTable,
     SymbolCode,
     block_entropy,
     empirical_block_distribution,
@@ -104,6 +105,7 @@ _SYMBOL_READERS = {
     "brute_force_min_block": lambda x: brute_force_min_block(SymbolCode(2), x),
     "universality_bound": lambda x: universality_bound(
         SymbolCode(2), x, 1, {(1,): 0.5, (2,): 0.5}),
+    "from_parse": lambda x: RankedBlockTable.from_parse(x, 1, 0),
 }
 
 
@@ -111,9 +113,11 @@ _SYMBOL_READERS = {
     "bad",
     [
         # once read across its rows, in blocks that span them, or as rows to
-        # shuffle, or a numpy error about the window shape
+        # shuffle, or a numpy error about the window shape, or a TypeError
+        # on an unhashable row
         np.array([[1, 2], [1, 2], [2, 1]]),
         np.array([1.0, 2.0, 1.0, 2.0]),  # once counted or shuffled as floats
+        np.array([True, False, True]),  # once a table of bool blocks
     ],
 )
 @pytest.mark.parametrize("read", list(_SYMBOL_READERS.values()), ids=list(_SYMBOL_READERS))
@@ -269,8 +273,6 @@ def test_zipf_holds_for_any_subprobability_vector(raw):
 
 
 def test_zipf_on_transform_tables():
-    from minblock import RankedBlockTable
-
     rng = np.random.Generator(np.random.Philox(35))
     for _ in range(30):
         u = list(map(int, rng.integers(1, 3, int(rng.integers(10, 200)))))

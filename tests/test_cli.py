@@ -63,7 +63,7 @@ def test_encode_decode_empty_file(tmp_path):
 def _decode_is_refused(tmp_path, capsys, g):
     """``decompress`` and ``minblock decode`` of a frame holding ``g`` both
     refuse it as corrupt, the CLI with exit 3, one line and no output."""
-    frame = pack_frame(g.m, encode_grammar(SymbolCode(g.m), g))
+    frame = pack_frame(g.m, encode_grammar(g))
     start = time.perf_counter()
     with pytest.raises(CorruptionError, match="not block shaped"):
         decompress(frame)
@@ -117,7 +117,7 @@ def test_decode_memory_per_output_byte(tmp_path):
         np.append(np.arange(0, d * k + 1, k), d * k + primary.size),
     )
     enc = tmp_path / "big.mblk"
-    enc.write_bytes(pack_frame(m, encode_grammar(SymbolCode(m), g)))
+    enc.write_bytes(pack_frame(m, encode_grammar(g)))
     dec = tmp_path / "big.out"
     tracemalloc.start()
     try:
@@ -143,7 +143,7 @@ def test_decode_refuses_the_alphabet_before_expanding(tmp_path, capsys, alphabet
         np.append(np.arange(0, d * k + 1, k), d * k + primary.size),
     )
     enc = tmp_path / "big.mblk"
-    enc.write_bytes(pack_frame(m, encode_grammar(SymbolCode(m), g)))
+    enc.write_bytes(pack_frame(m, encode_grammar(g)))
     dec = tmp_path / "big.out"
     args = ["decode", enc, dec]
     if alphabet is None:

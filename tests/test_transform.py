@@ -147,8 +147,8 @@ def test_code_bits_matches_materialized_grammar():
     for _ in range(50):
         u = _random_string(rng, 3, int(rng.integers(0, 400)))
         r = minimal_block_transform(code, u)
-        assert grammar_code_length(code, r.dictionary) == r.code_bits
-        assert len(encode_grammar(code, r.dictionary)) == r.code_bits
+        assert grammar_code_length(r.dictionary) == r.code_bits
+        assert len(encode_grammar(r.dictionary)) == r.code_bits
 
 
 def test_terminal_grammar_upper_bound():
@@ -634,7 +634,7 @@ def test_grammar_is_built_on_first_read():
         g = r.dictionary
         assert r.grammar is r.grammar
         assert (r.num_rules, r.m, r.code_bits) == (
-            g.num_rules, g.m, grammar_code_length(code, g)
+            g.num_rules, g.m, grammar_code_length(g)
         )
 
 
@@ -679,7 +679,7 @@ def test_only_a_grammar_read_gathers_the_class_ids(monkeypatch):
     assert calls == [r.block_len] and r.grammar is g
     gc.collect()
     assert len(kept) == 3 and all(ref() is None for ref in kept)
-    assert np.array_equal(decode(code, encode_grammar(code, r.dictionary)), u)
+    assert np.array_equal(decode(code, encode_grammar(r.dictionary)), u)
     bits = [minimal_block_transform(code, x).code_bits for x in (u, v, joint)]
     assert pointwise_mi(code, u, v) == bits[0] + bits[1] - bits[2]
     assert calls == [r.block_len]
@@ -927,7 +927,7 @@ def test_decode_rejects_a_non_block_grammar():
     # secondary rule (3, 1) holds a nonterminal, so this is not block shaped
     g = DictionaryGrammar(2, ((1, 2), (3, 1), (4, 4)))
     with pytest.raises(CorruptionError, match="not block shaped"):
-        decode(code, encode_grammar(code, g))
+        decode(code, encode_grammar(g))
 
 
 def test_decode_infers_the_block_shape_once(monkeypatch):
@@ -966,7 +966,7 @@ def test_decompress_limits_a_grammar_of_empty_citations():
     # three levels of 1000 citations of an empty rule: not a block grammar,
     # so it is refused with or without a length limit
     g = DictionaryGrammar(2, ((), (3,) * 1000, (4,) * 1000, (5,) * 1000, (6, 1)))
-    bits = encode_grammar(SymbolCode(2), g)
+    bits = encode_grammar(g)
     with pytest.raises(CorruptionError):
         decompress(pack_frame(2, bits))
     for max_len in (1, None):
