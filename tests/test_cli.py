@@ -4,9 +4,11 @@ import csv
 import io
 import os
 import stat
+import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,22 +33,42 @@ from minblock.cli import (
     run_sweep,
 )
 from minblock.plot import Series, render_loglog_svg
-from minblock.sources import gen_markov, realize
+from minblock.sources import gen_bernoulli, gen_markov, realize
 
 
 def run(args):
     return main([str(a) for a in args])
 
 
-def test_encode_decode_round_trip(tmp_path):
-    data = os.urandom(1024)
+def _round_trip_input(kind, corpus_path):
+    """The bytes of a round-trip input, and whether it names its own alphabet."""
+    rng = np.random.Generator(np.random.Philox(12))
+    text = corpus_path.read_bytes()[:100_000]
+    if kind == "random":
+        return rng.integers(0, 256, 1024, dtype=np.uint8).tobytes(), False
+    if kind == "few-bytes":  # a payload of a few codewords, parsed in chunks of one or two
+        return b"abcab", False
+    if kind == "text":
+        return text, False
+    if kind == "permuted-text":
+        return rng.permutation(np.frombuffer(text, np.uint8)).tobytes(), False
+    # `minblock gen bernoulli:0.5 --n 262144 --seed 7`: a longest repeat of 34,
+    # past the search's aligned-repeat threshold of 32, and a payload of
+    # 447,537 bits in 1,166 parse chunks, more than one slice of 1,024 holds
+    return gen_bernoulli((0.5, 0.5), 1 << 18, 7).astype(np.uint8).tobytes(), True
+
+
+@pytest.mark.parametrize("kind", ["random", "few-bytes", "text", "permuted-text", "bernoulli"])
+def test_encode_decode_round_trip(tmp_path, corpus_path, kind):
+    data, own_alphabet = _round_trip_input(kind, corpus_path)
     src = tmp_path / "src.bin"
     src.write_bytes(data)
+    alphabet = ["--alphabet-from-file", src] if own_alphabet else []
     enc = tmp_path / "out.mblk"
     dec = tmp_path / "back.bin"
-    assert run(["encode", src, enc]) == 0
+    assert run(["encode", src, enc] + alphabet) == 0
     assert enc.read_bytes()[:4] == b"MBLK"
-    assert run(["decode", enc, dec]) == 0
+    assert run(["decode", enc, dec] + alphabet) == 0
     assert dec.read_bytes() == data
 
 
@@ -316,16 +338,20 @@ def test_a_bad_probability_list_is_a_usage_error(tmp_path, capsys):
 
 
 def test_sweep_of_a_markov_source(tmp_path):
-    # the stream is gen_markov's, and m is the size of the table
+    # `minblock gen` writes gen_markov's stream, and the sweep transforms it
+    # with m the size of the table
     table = [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]]
     path = tmp_path / "T.json"
     path.write_text(f'{{"transitions": {table}}}')
+    u = gen_markov(table, 1 << 10, seed=4)
+    out = tmp_path / "g.bin"
+    assert run(["gen", f"markov:{path}", out, "--n", 1 << 10, "--seed", 4]) == 0
+    assert out.read_bytes() == u.astype(np.uint8).tobytes()
     csv_path = tmp_path / "r.csv"
     assert run(["sweep", "--source", f"markov:{path}", "--csv", csv_path,
                 "--n-grid", "2^8..2^10", "--seed", 4]) == 0
     with open(csv_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    u = gen_markov(table, 1 << 10, seed=4)
     want = []
     for n in (256, 512, 1024):
         r = minimal_block_transform(SymbolCode(3), u[:n])
@@ -745,3 +771,24 @@ def test_sweep_svgs_escape_the_source_label(tmp_path):
         root = ET.parse(tmp_path / ("fig" + suffix)).getroot()
         texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
         assert any(t.startswith(f"{label} (slope ") for t in texts)
+
+
+def test_smoke_script(tmp_path):
+    # tests/smoke.sh, which CI runs with the installed console script, run
+    # on this checkout's source through a `minblock` shim; the interpreter's
+    # own directory comes next, so the script's `python` is this one too
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    shim = bin_dir / "minblock"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m minblock.cli "$@"\n')
+    shim.chmod(0o755)
+    work = tmp_path / "work"
+    work.mkdir()
+    tests = Path(__file__).resolve().parent
+    src = tests.parent / "src"
+    path = os.pathsep.join([str(bin_dir), os.path.dirname(sys.executable), os.environ["PATH"]])
+    done = subprocess.run(["bash", str(tests / "smoke.sh")], cwd=work, capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PATH=path, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines() == [str(src / "minblock" / "__init__.py"), "smoke: ok"]

@@ -625,6 +625,17 @@ def test_input_families(kind, n, want):
     assert m == 2 and np.array_equal(back, u)
 
 
+@pytest.mark.parametrize("kind", ["thue-morse", "tiled37", "constant"])
+def test_zero_entropy_inputs_code_toward_zero_bits(kind):
+    # the paper's minimal block code is strongly universal whatever the
+    # entropy rate, so on an input of entropy rate 0 its bits per symbol
+    # fall toward 0: 0.041 (Thue-Morse), 0.024 and 0.024 at 2**16
+    ns = [1 << 10, 1 << 12, 1 << 14, 1 << 16]
+    rates = [minimal_block_transform(SymbolCode(2), _family(kind, n)).code_bits / n for n in ns]
+    assert all(a > b for a, b in zip(rates, rates[1:])), rates
+    assert rates[-1] < 0.05
+
+
 def test_grammar_is_built_on_first_read():
     rng = np.random.Generator(np.random.Philox(29))
     code = SymbolCode(3)
